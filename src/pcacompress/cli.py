@@ -295,6 +295,7 @@ def cmd_analyze(args) -> None:
         "centered": args.centered,
         "singular_values": P.singular_values.tolist(),
         "gap_warning": P.gap_warning,
+        "svd_driver": P.driver,
         "pair_count": len(pairs),
     }
     if A.labels is not None:

@@ -28,14 +28,6 @@ class ParseError(InputError):
 
 
 class NumericalError(RuntimeError):
-    """Iterative numerical procedure failed to converge or degenerated.
-
-    ``last_estimate`` holds the best value available at failure time so
-    callers can report it.
-    """
+    """Iterative numerical procedure failed to converge or degenerated."""
 
     exit_code = 3
-
-    def __init__(self, message, last_estimate=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate

@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 
 # Relative spectral-gap threshold under which the fitted subspace is
 # flagged as ill-defined.
@@ -142,6 +142,8 @@ class Projector:
     ``gap_warning`` is set when the spectral gap at the cut,
     ``s_k' - s_{k'+1}``, is at most ``GAP_RTOL * s_1``, in which case the
     subspace is numerically ill-defined and reports should say so.
+    ``driver`` names the SVD driver that produced a fit (``dense``,
+    ``randomized`` or ``lanczos``); it is None on a hand-built projector.
     """
 
     components: np.ndarray
@@ -149,6 +151,7 @@ class Projector:
     centered: bool = False
     mean_vector: Optional[np.ndarray] = None
     gap_warning: bool = False
+    driver: Optional[str] = None
 
     def __post_init__(self):
         self.components = np.ascontiguousarray(self.components, dtype=np.float64)
@@ -259,6 +262,16 @@ def _complete_orthonormal(U: np.ndarray, d: int, total: int, seed: int) -> np.nd
     return np.hstack([U, extra])
 
 
+def gram(M) -> np.ndarray:
+    """``M^T M`` as a dense array, for a dense or sparse M.
+
+    Pass ``M.T`` for the row Gram matrix ``M M^T``.
+    """
+    if sp.issparse(M):
+        return (M.T @ M).toarray()
+    return M.T @ M
+
+
 def _gram_svd(op: _Operator):
     """Exact factors via the smaller Gram matrix; avoids densifying the input.
 
@@ -269,7 +282,7 @@ def _gram_svd(op: _Operator):
     d, n = op.shape
     A, c = op.values, op.mean
     if n <= d:
-        G = np.asarray((A.T @ A).toarray() if sp.issparse(A) else A.T @ A)
+        G = gram(A)
         if c is not None:
             cross = np.asarray(A.T @ c).ravel()
             G = G - cross[:, None] - cross[None, :] + float(c @ c)
@@ -282,7 +295,7 @@ def _gram_svd(op: _Operator):
         U /= s[:rank]
         U = _complete_orthonormal(U, d, len(s), seed=17)
         return U, s
-    G = np.asarray((A @ A.T).toarray() if sp.issparse(A) else A @ A.T)
+    G = gram(A.T)
     if c is not None:
         # Row means make the centered cross terms collapse: the centered
         # outer product is A A^T - n c c^T.
@@ -331,13 +344,9 @@ def _certified(op: _Operator, U: np.ndarray, s: np.ndarray, V: np.ndarray, k: in
 def _lanczos_svd(op: _Operator, k: int, seed: int):
     """Top k+1 singular triplets by ARPACK on the implicit operator.
 
-    The extra triplet supplies ``s_{k'+1}`` for the gap check. ARPACK
-    cannot return ``min(d, n)`` triplets; that case (reachable only with
-    zero oversampling, since otherwise the sketch spans the whole range
-    and is certified) goes to the dense driver.
+    The extra triplet supplies ``s_{k'+1}`` for the gap check; ARPACK
+    needs ``k + 1 < min(d, n)``.
     """
-    if k + 1 >= min(op.shape):
-        return _dense_svd(op)
     linear = scipy.sparse.linalg.LinearOperator(
         op.shape,
         matvec=lambda x: op.matmat(x.reshape(-1, 1)).ravel(),
@@ -362,12 +371,17 @@ def _fit(A: DataMatrix, k: int, opts: Optional[SvdOptions], mean=None) -> Projec
     driver = opts.driver
     if driver == "auto":
         driver = "dense" if min(d, n) <= opts.dense_cutoff else "randomized"
-    if driver == "dense":
-        U, s = _dense_svd(op)
-    else:
+    if driver == "randomized":
         U, s, V = _randomized_svd(op, k, opts)
         if opts.driver == "auto" and not _certified(op, U, s, V, k):
-            U, s = _lanczos_svd(op, k, opts.seed)
+            # ARPACK cannot return min(d, n) triplets; that case is
+            # reachable only with zero oversampling, since otherwise the
+            # sketch spans the whole range and is certified
+            driver = "lanczos" if k + 1 < min(d, n) else "dense"
+    if driver == "dense":
+        U, s = _dense_svd(op)
+    elif driver == "lanczos":
+        U, s = _lanczos_svd(op, k, opts.seed)
     s_next = s[k] if k < len(s) else None
     warn = s_next is not None and (s[k - 1] - s_next) <= GAP_RTOL * s[0]
     U = _apply_sign_convention(U[:, :k].copy())
@@ -377,6 +391,7 @@ def _fit(A: DataMatrix, k: int, opts: Optional[SvdOptions], mean=None) -> Projec
         centered=mean is not None,
         mean_vector=mean,
         gap_warning=bool(warn),
+        driver=driver,
     )
 
 
@@ -420,43 +435,24 @@ def project_columns(P: Projector, A: DataMatrix) -> np.ndarray:
     return Y
 
 
-def spectral_norm(M, tol: float = 1e-9, max_iter: int = 1000, seed: int = 0) -> float:
-    """Largest absolute eigenvalue of a symmetric operator.
+def spectral_norm(M) -> float:
+    """Largest singular value of a dense or sparse matrix.
 
-    Power iteration on M applied twice per step, so plus/minus eigenvalue
-    pairs of equal magnitude (as in :class:`SymmetricEmbedding`) do not
-    stall convergence. Raises :class:`NumericalError` carrying the last
-    iterate's estimate if the tolerance is not reached.
+    The square root of the top eigenvalue of the smaller-side Gram
+    matrix. A :class:`SymmetricEmbedding` has the same operator norm as
+    its block, so its block is used.
     """
     if isinstance(M, SymmetricEmbedding):
-        apply, dim = M.matvec, M.size
-    elif sp.issparse(M) or isinstance(M, np.ndarray):
-        if M.shape[0] != M.shape[1]:
-            raise InputError("spectral_norm expects a square symmetric operator")
-        apply, dim = (lambda x: np.asarray(M @ x).ravel()), M.shape[0]
-    else:
-        apply, dim = M.matvec, M.size
-    rng = np.random.Generator(np.random.Philox(seed))
-    x = rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    estimate = 0.0
-    for _ in range(max_iter):
-        y = apply(x)
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0
-        previous, estimate = estimate, float(norm_y)
-        z = apply(y)
-        norm_z = np.linalg.norm(z)
-        if norm_z == 0.0:
-            return 0.0
-        x = z / norm_z
-        if abs(estimate - previous) <= tol * estimate:
-            return estimate
-    raise NumericalError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_estimate=estimate,
-    )
+        M = M.matrix
+    if not sp.issparse(M):
+        M = np.asarray(M, dtype=np.float64)
+        if M.ndim != 2:
+            raise InputError("spectral_norm expects a 2-dimensional matrix")
+    d, n = M.shape
+    G = gram(M if n <= d else M.T)
+    m = G.shape[0]
+    top = scipy.linalg.eigh(G, subset_by_index=[m - 1, m - 1], eigvals_only=True)[0]
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def principal_angle(P: Projector, Q: Projector) -> float:

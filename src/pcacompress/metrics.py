@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
-from .linalg import DataMatrix, Projector, project_columns
+from .linalg import DataMatrix, Projector, gram, project_columns
 
 DEGENERATE_RTOL = 1e-12
 # allowed numerical overshoot of post over pre before it is an error
@@ -74,12 +74,6 @@ class PairSet:
             )
 
 
-def _column_gram(values) -> np.ndarray:
-    if sp.issparse(values):
-        return np.asarray((values.T @ values).toarray())
-    return values.T @ values
-
-
 def _distances_from_gram(G: np.ndarray, i, j) -> np.ndarray:
     g = np.diag(G).copy()
     sq = g[i] + g[j] - 2.0 * G[i, j]
@@ -119,7 +113,7 @@ def pair_compression(A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exa
         i, j = np.triu_indices(n, k=1)
         i = i.astype(np.int64)
         j = j.astype(np.int64)
-        pre = _distances_from_gram(_column_gram(A.values), i, j)
+        pre = _distances_from_gram(gram(A.values), i, j)
         post = _distances_from_gram(Y.T @ Y, i, j)
     elif (
         isinstance(pair_policy, tuple)

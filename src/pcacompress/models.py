@@ -189,8 +189,12 @@ class RandomVectorModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomVectorModel":
+        if not isinstance(doc, dict):
+            raise InputError("model document must be a JSON object")
         if "sbm" in doc:
             block = doc["sbm"]
+            if not isinstance(block, dict):
+                raise InputError("sbm shorthand must be a JSON object")
             try:
                 return sbm_rectangular(
                     int(block["d"]),
@@ -201,9 +205,10 @@ class RandomVectorModel:
             except KeyError as missing:
                 raise InputError(f"sbm shorthand missing field {missing}")
         try:
-            noise = [
-                NoiseSpec(spec["family"], spec.get("scale")) for spec in doc["noise"]
-            ]
+            specs = doc["noise"]
+            if not isinstance(specs, list) or not all(isinstance(x, dict) for x in specs):
+                raise InputError("noise must be a list of JSON objects")
+            noise = [NoiseSpec(spec["family"], spec.get("scale")) for spec in specs]
             return cls(np.asarray(doc["centers"]), doc["sizes"], noise)
         except KeyError as missing:
             raise InputError(f"model document missing field {missing}")

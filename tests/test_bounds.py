@@ -26,6 +26,7 @@ from pcacompress.errors import InputError
 from pcacompress.models import (
     NoiseSpec,
     RandomVectorModel,
+    generate_dataset,
     model_stats,
     sbm_rectangular,
 )
@@ -369,6 +370,13 @@ class TestNoiseNorm:
             check = noise_norm_check(model, seed, C0=3.0)
             assert check.passed, f"seed {seed}: {check.estimate} > {check.bound}"
 
+    def test_matches_dense_two_norm_of_noise_block(self):
+        model = sbm_rectangular(300, [40, 60], p=0.7, q=0.3)
+        A = generate_dataset(model, seed=4)
+        oracle = np.linalg.norm(A.values - model.mean_matrix(), 2)
+        estimate = noise_norm_check(model, seed=4).estimate
+        assert abs(estimate - oracle) <= 1e-12 * oracle
+
     def test_doubling_sigma_roughly_doubles_norm(self):
         def flat_model(scale):
             return RandomVectorModel(
@@ -449,10 +457,8 @@ class TestVerifyBounds:
 
     def test_empirical_spectrum_option(self):
         model = sbm_rectangular(500, [60, 60], p=0.7, q=0.3)
-        fixed = verify_bounds(model, seeds=2, check_noise_norm=False)
-        empirical = verify_bounds(
-            model, seeds=2, use_empirical_sk=True, check_noise_norm=False
-        )
+        fixed = verify_bounds(model, seeds=2)
+        empirical = verify_bounds(model, seeds=2, use_empirical_sk=True)
         assert fixed.s_k_analytic == empirical.s_k_analytic
         assert empirical.s_k_empirical > 0
         assert empirical.s_k_empirical != empirical.s_k_analytic
@@ -460,9 +466,17 @@ class TestVerifyBounds:
         b = empirical.record("post-intra-upper", 0).analytic
         assert a != b
 
+    def test_noise_norm_record_checks_the_drawn_dataset(self):
+        model = sbm_rectangular(120, [30, 30], p=0.7, q=0.3)
+        report = verify_bounds(model, seeds=[6], C0=1.4)
+        check = noise_norm_check(model, 6, C0=1.4)
+        rec = report.record("noise-norm")
+        assert rec.empirical == check.estimate
+        assert rec.analytic == check.bound
+
     def test_report_serializes_to_json(self):
         model = sbm_rectangular(80, [20, 20], p=0.8, q=0.2)
-        report = verify_bounds(model, seeds=[5], check_noise_norm=False)
+        report = verify_bounds(model, seeds=[5])
         text = json.dumps(report.to_dict())
         parsed = json.loads(text)
         assert parsed["trials"] == 1

@@ -73,6 +73,25 @@ class TestExitCodes:
     def test_success_is_zero(self, dataset):
         pass  # the fixture asserts it
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "model document must be a JSON object"),
+            ("model", "model document must be a JSON object"),
+            ({"sbm": [1]}, "sbm shorthand must be a JSON object"),
+            ({"centers": [[0.5]], "sizes": [2], "noise": {"family": "bernoulli-residual"}},
+             "noise must be a list of JSON objects"),
+            ({"centers": [[0.5]], "sizes": [2], "noise": ["bernoulli-residual"]},
+             "noise must be a list of JSON objects"),
+        ],
+    )
+    def test_malformed_model_document(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["simulate", "--model", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestManifest:
     def test_records_inputs_seed_versions_normalization(self, dataset, tmp_path):
@@ -215,6 +234,7 @@ class TestAnalyzeOutputs:
             outs[name] = json.loads((out / "analysis.json").read_text())
         assert outs["exact"]["pair_count"] == 24 * 23 // 2
         assert outs["sampled"]["pair_count"] == 50
+        assert outs["exact"]["svd_driver"] == "dense"
 
 
 class TestRoundTripOracle:

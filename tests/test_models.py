@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,3 +252,11 @@ class TestSerialization:
         path.write_text(json.dumps({"centers": [[0.5]]}))
         with pytest.raises(InputError):
             mo.load_model(path)
+
+    def test_readme_model_examples_build(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) >= 2
+        for block in blocks:
+            model = mo.RandomVectorModel.from_dict(json.loads(block))
+            mo.generate_dataset(model, seed=0)
