@@ -15,6 +15,7 @@ subtracted parenthesis. Both sites are implemented verbatim.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import DataMatrix, SvdOptions, fit_uncentered_pca, spectral_norm
-from .metrics import extra_pc_split, pair_compression
+from .metrics import ClusterPairTable, extra_pc_split, pair_compression
 from .models import RandomVectorModel, generate_dataset, model_stats
 
 
@@ -425,21 +426,27 @@ class _Extremes:
 
     def update(self, analytic: Optional[float], empirical: Optional[float], vacuous: bool):
         self.analytic = analytic
-        if vacuous:
-            self.vacuous = True
+        self.vacuous = self.vacuous or bool(vacuous)
         if empirical is None:
             return
-        if self.worst is None:
-            self.worst = empirical
-        elif self.kind == "lower":
-            self.worst = min(self.worst, empirical)
-        else:
-            self.worst = max(self.worst, empirical)
+        lower = self.kind == "lower"
+        pick = min if lower else max
+        self.worst = empirical if self.worst is None else pick(self.worst, empirical)
         if not vacuous and analytic is not None:
-            if self.kind == "lower" and empirical < analytic:
-                self.violations += 1
-            if self.kind == "upper" and empirical > analytic:
-                self.violations += 1
+            self.violations += int(empirical < analytic if lower else empirical > analytic)
+
+
+# Each pair bound and the quantity it is checked on: a lower bound against
+# its cell's smallest value, an upper bound its largest. Upper bounds are
+# always positive, so an absent or non-positive bound is vacuous.
+_PAIR_BOUNDS = {
+    "pre-intra-lower": (pre_pca_intra_lower, "pre"),
+    "post-intra-upper": (post_pca_intra_upper, "post"),
+    "intra-ratio-lower": (intra_ratio_lower, "ratio"),
+    "pre-inter-upper": (pre_pca_inter_upper, "pre"),
+    "post-inter-lower": (post_pca_inter_lower, "post"),
+    "inter-ratio-upper": (inter_ratio_upper, "ratio"),
+}
 
 
 def verify_bounds(
@@ -469,16 +476,13 @@ def verify_bounds(
         raise InputError("need at least one seed")
 
     base = BoundParams.from_model(model, C0=C0)
-    trackers = {}
-    for j in range(k):
-        trackers[("pre-intra-lower", (j,))] = _Extremes("lower")
-        trackers[("post-intra-upper", (j,))] = _Extremes("upper")
-        trackers[("intra-ratio-lower", (j,))] = _Extremes("lower")
-        for jp in range(j + 1, k):
-            trackers[("pre-inter-upper", (j, jp))] = _Extremes("upper")
-            trackers[("post-inter-lower", (j, jp))] = _Extremes("lower")
-            trackers[("inter-ratio-upper", (j, jp))] = _Extremes("upper")
-    trackers[("noise-norm", ())] = _Extremes("upper")
+    trackers = {
+        (name, (j,) if j == jp else (j, jp)): _Extremes(name.rsplit("-", 1)[1])
+        for j, jp in itertools.combinations_with_replacement(range(k), 2)
+        for name in _PAIR_BOUNDS
+        if ("intra" in name) == (j == jp)
+    }
+    noise = _Extremes("upper")
 
     sk_empirical = []
     for seed in seed_list:
@@ -489,42 +493,22 @@ def verify_bounds(
         params = base
         if use_empirical_sk:
             params = BoundParams.from_model(model, C0=C0, s_k=sk_seed)
-        pairs = pair_compression(A, P)
-        la = A.labels[pairs.i]
-        lb = A.labels[pairs.j]
-        finite = ~pairs.degenerate
-        for j in range(k):
-            intra = (la == j) & (lb == j)
-            if intra.any():
-                lo_pre = float(pairs.pre[intra].min())
-                hi_post = float(pairs.post[intra].max())
-                fin = intra & finite
-                lo_ratio = float(pairs.ratio[fin].min()) if fin.any() else None
-                b = pre_pca_intra_lower(params, j)
-                trackers[("pre-intra-lower", (j,))].update(b, lo_pre, vacuous=b == 0.0)
-                b = post_pca_intra_upper(params, j)
-                trackers[("post-intra-upper", (j,))].update(b, hi_post, vacuous=False)
-                b = intra_ratio_lower(params, j)
-                trackers[("intra-ratio-lower", (j,))].update(b, lo_ratio, vacuous=b == 0.0)
-            for jp in range(j + 1, k):
-                inter = ((la == j) & (lb == jp)) | ((la == jp) & (lb == j))
-                if not inter.any():
-                    continue
-                hi_pre = float(pairs.pre[inter].max())
-                lo_post = float(pairs.post[inter].min())
-                # a degenerate cross pair has unbounded ratio
-                hi_ratio = float(np.inf) if (inter & ~finite).any() else float(
-                    pairs.ratio[inter & finite].max()
-                )
-                b = pre_pca_inter_upper(params, j, jp)
-                trackers[("pre-inter-upper", (j, jp))].update(b, hi_pre, vacuous=False)
-                b = post_pca_inter_lower(params, j, jp)
-                trackers[("post-inter-lower", (j, jp))].update(b, lo_post, vacuous=b <= 0.0)
-                b = inter_ratio_upper(params, j, jp)
-                trackers[("inter-ratio-upper", (j, jp))].update(b, hi_ratio, vacuous=b is None)
+        table = ClusterPairTable(pair_compression(A, P))
+        for (name, clusters), tracker in trackers.items():
+            cell = (clusters[0], clusters[-1])
+            if not table.count[cell]:
+                continue
+            bound, quantity = _PAIR_BOUNDS[name]
+            b = bound(params, *clusters)
+            lower = tracker.kind == "lower"
+            worst = float((table.min if lower else table.max)[quantity][cell])
+            # a smallest ratio of +inf means the cell has no finite ratio
+            empirical = None if lower and worst == np.inf else worst
+            tracker.update(b, empirical, vacuous=b is None or b <= 0.0)
         check = _noise_norm_check(model, A, C0)
-        trackers[("noise-norm", ())].update(check.bound, check.estimate, vacuous=False)
+        noise.update(check.bound, check.estimate, vacuous=False)
 
+    trackers[("noise-norm", ())] = noise
     records = [
         BoundRecord(
             bound=name,

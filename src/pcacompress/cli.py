@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -213,19 +214,6 @@ def _pair_policy(args):
     return ("sampled", sample, args.seed)
 
 
-def _group_dict(group) -> dict:
-    if group is None:
-        return None
-    return {
-        "pair_count": group.pair_count,
-        "pre_avg": group.pre_avg,
-        "post_avg": group.post_avg,
-        "ratio_avg": group.ratio_avg,
-        "ratio_of_averages": group.ratio_of_averages,
-        "excluded": group.excluded,
-    }
-
-
 def _cluster_name(names, cluster: int) -> str:
     return names[cluster] if cluster < len(names) else f"C{cluster + 1}"
 
@@ -236,8 +224,8 @@ def _summary_doc(summary, names) -> list:
             "cluster": row.cluster,
             "name": _cluster_name(names, row.cluster),
             "size": row.size,
-            "intra": _group_dict(row.intra),
-            "inter": _group_dict(row.inter),
+            "intra": None if row.intra is None else dataclasses.asdict(row.intra),
+            "inter": dataclasses.asdict(row.inter),
         }
         for row in summary.rows
     ]
@@ -277,6 +265,7 @@ def _summary_rows(summary, names) -> list:
 def cmd_analyze(args) -> None:
     from .linalg import SvdOptions, fit_centered_pca, fit_uncentered_pca
     from .metrics import (
+        ClusterPairTable,
         cluster_summary,
         intra_fraction_curve,
         pair_compression,
@@ -319,13 +308,10 @@ def cmd_analyze(args) -> None:
                 ],
             )
     else:
-        finite = ~pairs.degenerate
-        doc["overall"] = {
-            "pre_avg": float(pairs.pre.mean()),
-            "post_avg": float(pairs.post.mean()),
-            "ratio_avg": float(pairs.ratio[finite].mean()) if finite.any() else None,
-            "excluded": int((~finite).sum()),
-        }
+        # one cluster holding every point: its single cell is every pair
+        overall = ClusterPairTable(pairs, [0] * A.n).group(0)
+        keys = ("pre_avg", "post_avg", "ratio_avg", "excluded")
+        doc["overall"] = {key: getattr(overall, key) for key in keys}
     if args.format == "json":
         _write_json(out / "analysis.json", doc)
     write_manifest(args, {"matrix": args.matrix, "labels": args.labels})
@@ -446,8 +432,8 @@ def cmd_cluster_compare(args) -> None:
 
 
 def cmd_sweep_pcs(args) -> None:
-    from .linalg import Projector, SvdOptions, fit_uncentered_pca
-    from .metrics import pair_compression
+    from .linalg import SvdOptions, fit_uncentered_pca
+    from .metrics import pcs_sweep
 
     A, _ = _ingest(args)
     if A.labels is None:
@@ -460,28 +446,7 @@ def cmd_sweep_pcs(args) -> None:
         raise InputError("--grid values must be positive")
 
     full = fit_uncentered_pca(A, grid[-1], SvdOptions(seed=args.seed))
-    results = []
-    for kprime in grid:
-        P = Projector(full.components[:kprime], full.singular_values[:kprime])
-        pairs = pair_compression(A, P, _pair_policy(args))
-        finite = ~pairs.degenerate
-        intra = finite & pairs.same
-        inter = finite & ~pairs.same
-        intra_mean = float(pairs.ratio[intra].mean()) if intra.any() else None
-        inter_mean = float(pairs.ratio[inter].mean()) if inter.any() else None
-        gap = (
-            intra_mean / inter_mean
-            if intra_mean is not None and inter_mean not in (None, 0.0)
-            else None
-        )
-        results.append(
-            {
-                "pcs": kprime,
-                "intra_ratio_avg": intra_mean,
-                "inter_ratio_avg": inter_mean,
-                "gap": gap,
-            }
-        )
+    results = pcs_sweep(A, full, grid, _pair_policy(args))
     out = _out_dir(args)
     if args.format == "json":
         _write_json(out / "sweep.json", {"grid": results})

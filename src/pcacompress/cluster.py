@@ -79,15 +79,13 @@ def _sq_distances(X, sq_norms, centers) -> np.ndarray:
 
 def _cluster_means(X, labels, k) -> np.ndarray:
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    if sp.issparse(X):
-        onehot = sp.csr_array(
-            (np.ones(len(labels)), (labels, np.arange(len(labels)))),
-            shape=(k, X.shape[0]),
-        )
-        sums = np.asarray((onehot @ X).todense())
-    else:
-        sums = np.zeros((k, X.shape[1]))
-        np.add.at(sums, labels, X)
+    onehot = sp.csr_array(
+        (np.ones(len(labels)), (labels, np.arange(len(labels)))),
+        shape=(k, X.shape[0]),
+    )
+    sums = onehot @ X
+    if sp.issparse(sums):
+        sums = sums.toarray()
     safe = np.maximum(counts, 1.0)
     return sums / safe[:, None], counts
 

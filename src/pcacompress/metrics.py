@@ -6,6 +6,10 @@ aggregated three ways: per cluster (table rows), per point (plot data),
 and as a ranking curve (what fraction of the most-compressed pairs are
 same-cluster pairs).
 
+Every consumer reads one pair engine: one routine for pair distances
+(:func:`_pair_distances`) and one reduction over cluster pairs
+(:class:`ClusterPairTable`).
+
 Pairs whose projected distance is negligible relative to the original
 distance (below 1e-12 of it) are "maximally compressed": their ratio is
 reported absent rather than as a huge or infinite number, and they rank
@@ -14,11 +18,10 @@ above every finite ratio in the curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
 from .linalg import DataMatrix, Projector, gram, project_columns
@@ -26,6 +29,12 @@ from .linalg import DataMatrix, Projector, gram, project_columns
 DEGENERATE_RTOL = 1e-12
 # allowed numerical overshoot of post over pre before it is an error
 _CONTRACTION_RTOL = 1e-9
+# g_i + g_j - 2 G_ij is off by a few ulps of g_i + g_j; a squared distance
+# at or below this share of g_i + g_j is recomputed by direct difference
+GRAM_RECOMPUTE_RTOL = 1e-4
+# entries per block of direct differences, and pairs per reduction step
+_BLOCK_ENTRIES = 1 << 20
+_CHUNK_PAIRS = 1 << 16
 
 PairPolicy = Union[str, Tuple[str, int, int]]
 
@@ -74,12 +83,6 @@ class PairSet:
             )
 
 
-def _distances_from_gram(G: np.ndarray, i, j) -> np.ndarray:
-    g = np.diag(G).copy()
-    sq = g[i] + g[j] - 2.0 * G[i, j]
-    return np.sqrt(np.clip(sq, 0.0, None))
-
-
 def _triangular_decode(index: np.ndarray, n: int):
     """Map linear indices over unordered pairs to (i, j), i < j, row-major."""
     index = index.astype(np.int64)
@@ -98,6 +101,64 @@ def _triangular_decode(index: np.ndarray, n: int):
     return i, j
 
 
+def _pair_indices(n: int, pair_policy: PairPolicy):
+    """The policy's pairs (i, j), i < j: all of them, or a uniform sample."""
+    if pair_policy == "exact":
+        i, j = np.triu_indices(n, k=1)
+        return i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+    if isinstance(pair_policy, tuple) and len(pair_policy) == 3 and pair_policy[0] == "sampled":
+        _, m, seed = pair_policy
+        total = n * (n - 1) // 2
+        if not 1 <= m <= total:
+            raise InputError(f"sample size {m} outside [1, {total}]")
+        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        chosen = rng.choice(total, size=m, replace=False)
+        chosen.sort()
+        return _triangular_decode(chosen, n)
+    raise InputError(f"unknown pair policy {pair_policy!r}")
+
+
+def _pair_distances(M, i: np.ndarray, j: np.ndarray, all_pairs: bool) -> np.ndarray:
+    """Distances between columns ``i[t]`` and ``j[t]`` of a dense or sparse M.
+
+    With ``all_pairs`` (i, j) hold every column pair, and a pair's squared
+    distance comes from the Gram matrix unless it is at or below
+    ``GRAM_RECOMPUTE_RTOL * (g_i + g_j)``. Every other distance is a
+    direct difference, taken over column blocks of bounded size.
+    """
+    if all_pairs:
+        G = gram(M)
+        g = np.diag(G).copy()
+        scale = g[i] + g[j]
+        sq = scale - 2.0 * G[i, j]
+        direct = np.flatnonzero(sq <= GRAM_RECOMPUTE_RTOL * scale)
+    else:
+        sq, direct = np.empty(len(i)), np.arange(len(i))
+    step = _BLOCK_ENTRIES // max(1, M.shape[0]) or 1
+    for start in range(0, len(direct), step):
+        t = direct[start : start + step]
+        diff = M[:, i[t]] - M[:, j[t]]
+        # elementwise for a dense and a sparse array alike
+        sq[t] = np.asarray((diff * diff).sum(axis=0)).ravel()
+    return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+
+
+def _pair_sets(A: DataMatrix, projectors, pair_policy: PairPolicy) -> Iterator[PairSet]:
+    """The policy's pairs under each projector, original distances computed once."""
+    i, j = _pair_indices(A.n, pair_policy)
+    all_pairs = pair_policy == "exact"
+    pre = _pair_distances(A.values, i, j, all_pairs)
+    for P in projectors:
+        post = _pair_distances(project_columns(P, A), i, j, all_pairs)
+        if np.any(post > pre * (1.0 + _CONTRACTION_RTOL)):
+            t = int(np.argmax(post - pre))
+            raise NumericalError(
+                f"projected distance {post[t]:g} exceeds original {pre[t]:g} "
+                f"for pair ({i[t]}, {j[t]}); projection should contract"
+            )
+        yield PairSet(i, j, pre, np.minimum(post, pre, out=post), labels=A.labels)
+
+
 def pair_compression(A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exact") -> PairSet:
     """Distances and compression ratios for all (or sampled) column pairs.
 
@@ -107,51 +168,14 @@ def pair_compression(A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exa
     """
     if A.d != P.d:
         raise InputError(f"matrix has d={A.d}, projector wants {P.d}")
-    n = A.n
-    Y = project_columns(P, A)
-    if pair_policy == "exact":
-        i, j = np.triu_indices(n, k=1)
-        i = i.astype(np.int64)
-        j = j.astype(np.int64)
-        pre = _distances_from_gram(gram(A.values), i, j)
-        post = _distances_from_gram(Y.T @ Y, i, j)
-    elif (
-        isinstance(pair_policy, tuple)
-        and len(pair_policy) == 3
-        and pair_policy[0] == "sampled"
-    ):
-        _, m, seed = pair_policy
-        total = n * (n - 1) // 2
-        if not 1 <= m <= total:
-            raise InputError(f"sample size {m} outside [1, {total}]")
-        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-        chosen = rng.choice(total, size=m, replace=False)
-        chosen.sort()
-        i, j = _triangular_decode(chosen, n)
-        pre = _pair_distances_direct(A.values, i, j)
-        post = _pair_distances_direct(Y, i, j)
-    else:
-        raise InputError(f"unknown pair policy {pair_policy!r}")
-
-    bad = post > pre * (1.0 + _CONTRACTION_RTOL)
-    if np.any(bad):
-        t = int(np.argmax(post - pre))
-        raise NumericalError(
-            f"projected distance {post[t]:g} exceeds original {pre[t]:g} "
-            f"for pair ({i[t]}, {j[t]}); projection should contract"
-        )
-    post = np.minimum(post, pre)
-    return PairSet(i, j, pre, post, labels=A.labels)
+    return next(_pair_sets(A, [P], pair_policy))
 
 
-def _pair_distances_direct(values, i, j) -> np.ndarray:
-    if sp.issparse(values):
-        left = values[:, i]
-        right = values[:, j]
-        diff = (left - right).power(2).sum(axis=0)
-        return np.sqrt(np.asarray(diff).ravel())
-    diff = values[:, i] - values[:, j]
-    return np.sqrt(np.einsum("ij,ij->j", diff, diff))
+def _require_labels(pairs: PairSet, labels, what: str) -> np.ndarray:
+    labels = pairs.labels if labels is None else labels
+    if labels is None:
+        raise InputError(f"{what} requires labels")
+    return np.asarray(labels)
 
 
 @dataclass
@@ -164,6 +188,56 @@ class GroupStats:
     ratio_avg: Optional[float]
     ratio_of_averages: Optional[float]
     excluded: int  # pairs with absent ratio, left out of ratio_avg
+
+
+class ClusterPairTable:
+    """Counts, sums and extremes of a pair set over unordered cluster pairs.
+
+    Built in one pass over the pairs. Arrays are k x k; cell (a, b),
+    a <= b, holds the pairs between clusters a and b. ``sum``, ``min``
+    and ``max`` are keyed by ``pre``, ``post`` and ``ratio``. Ratio sums
+    run over the ``finite`` pairs; ratio extremes count a degenerate
+    pair's ratio as +inf.
+    """
+
+    def __init__(self, pairs: PairSet, labels: Optional[np.ndarray] = None):
+        labels = _require_labels(pairs, labels, "cluster-pair table")
+        k = int(labels.max()) + 1
+        count, finite = np.zeros((2, k * k), dtype=np.int64)
+        sums, mins, maxs = (
+            {q: np.full(k * k, fill) for q in ("pre", "post", "ratio")}
+            for fill in (0.0, np.inf, -np.inf)
+        )
+        for start in range(0, len(pairs), _CHUNK_PAIRS):
+            s = slice(start, start + _CHUNK_PAIRS)
+            la, lb = labels[pairs.i[s]], labels[pairs.j[s]]
+            cell = np.minimum(la, lb).astype(np.int64) * k + np.maximum(la, lb)
+            fin = ~pairs.degenerate[s]
+            count += np.bincount(cell, minlength=k * k)
+            finite += np.bincount(cell[fin], minlength=k * k)
+            for q in sums:
+                values = getattr(pairs, q)[s]
+                keep = fin if q == "ratio" else slice(None)
+                sums[q] += np.bincount(cell[keep], weights=values[keep], minlength=k * k)
+                if q == "ratio":
+                    values = np.where(fin, values, np.inf)
+                np.minimum.at(mins[q], cell, values)
+                np.maximum.at(maxs[q], cell, values)
+        self.count, self.finite = count.reshape(k, k), finite.reshape(k, k)
+        self.sum, self.min, self.max = (
+            {q: a.reshape(k, k) for q, a in part.items()} for part in (sums, mins, maxs)
+        )
+
+    def group(self, cells) -> Optional[GroupStats]:
+        """Averages over the pairs of the selected cells (any k x k index)."""
+        count = int(self.count[cells].sum())
+        if count == 0:
+            return None
+        finite = int(self.finite[cells].sum())
+        pre_avg, post_avg = (float(self.sum[q][cells].sum() / count) for q in ("pre", "post"))
+        ratio_avg = float(self.sum["ratio"][cells].sum() / finite) if finite else None
+        roa = pre_avg / post_avg if post_avg > 0 else None
+        return GroupStats(count, pre_avg, post_avg, ratio_avg, roa, count - finite)
 
 
 @dataclass
@@ -182,50 +256,23 @@ class ClusterSummary:
         return self.rows[cluster]
 
 
-def _group_stats(pairs: PairSet, mask: np.ndarray) -> Optional[GroupStats]:
-    count = int(mask.sum())
-    if count == 0:
-        return None
-    pre_avg = float(pairs.pre[mask].mean())
-    post_avg = float(pairs.post[mask].mean())
-    finite = mask & ~pairs.degenerate
-    n_finite = int(finite.sum())
-    ratio_avg = float(pairs.ratio[finite].mean()) if n_finite else None
-    roa = pre_avg / post_avg if post_avg > 0 else None
-    return GroupStats(
-        pair_count=count,
-        pre_avg=pre_avg,
-        post_avg=post_avg,
-        ratio_avg=ratio_avg,
-        ratio_of_averages=roa,
-        excluded=count - n_finite,
-    )
-
-
 def cluster_summary(pairs: PairSet, labels: Optional[np.ndarray] = None) -> ClusterSummary:
     """Per-cluster intra and inter averages, the report-table shape.
 
     ``ratio_avg`` is the mean of per-pair ratios; the ratio of the
     averaged distances is reported alongside it since the two differ.
     """
-    if labels is None:
-        labels = pairs.labels
-    if labels is None:
-        raise InputError("cluster summary requires labels")
-    labels = np.asarray(labels)
-    la, lb = labels[pairs.i], labels[pairs.j]
-    same = la == lb
+    labels = _require_labels(pairs, labels, "cluster summary")
+    table = ClusterPairTable(pairs, labels)
+    a, b = np.indices(table.count.shape)
     sizes = np.bincount(labels)
     rows = []
     for cluster in range(len(sizes)):
-        touches = (la == cluster) | (lb == cluster)
-        intra = _group_stats(pairs, touches & same)
-        inter = _group_stats(pairs, touches & ~same)
+        touches = (a == cluster) | (b == cluster)
+        inter = table.group(touches & (a != b))
         if inter is None:
             raise InputError("every cluster needs at least one cross pair")
-        rows.append(
-            ClusterRow(cluster=cluster, size=int(sizes[cluster]), intra=intra, inter=inter)
-        )
+        rows.append(ClusterRow(cluster, int(sizes[cluster]), table.group((cluster, cluster)), inter))
     return ClusterSummary(rows)
 
 
@@ -238,20 +285,19 @@ class PointSummary:
 
 def pointwise_summary(pairs: PairSet, labels: Optional[np.ndarray] = None) -> List[PointSummary]:
     """Mean compression ratio of each point against its own and other clusters."""
-    if labels is None:
-        labels = pairs.labels
-    if labels is None:
-        raise InputError("pointwise summary requires labels")
-    labels = np.asarray(labels)
+    labels = _require_labels(pairs, labels, "pointwise summary")
     n = len(labels)
-    same = labels[pairs.i] == labels[pairs.j]
-    finite = ~pairs.degenerate
-    sums = np.zeros((n, 2))
-    counts = np.zeros((n, 2), dtype=np.int64)
-    which = np.where(same, 0, 1)
-    for endpoint in (pairs.i, pairs.j):
-        np.add.at(sums, (endpoint[finite], which[finite]), pairs.ratio[finite])
-        np.add.at(counts, (endpoint[finite], which[finite]), 1)
+    # slot 2p holds point p's same-cluster pairs, slot 2p + 1 its cross pairs
+    sums, counts = np.zeros(2 * n), np.zeros(2 * n, dtype=np.int64)
+    for start in range(0, len(pairs), _CHUNK_PAIRS):
+        s = slice(start, start + _CHUNK_PAIRS)
+        fin = ~pairs.degenerate[s]
+        i, j, ratio = pairs.i[s][fin], pairs.j[s][fin], pairs.ratio[s][fin]
+        cross = labels[i] != labels[j]
+        slot = np.concatenate((2 * i + cross, 2 * j + cross))
+        sums += np.bincount(slot, weights=np.concatenate((ratio, ratio)), minlength=2 * n)
+        counts += np.bincount(slot, minlength=2 * n)
+    sums, counts = sums.reshape(n, 2), counts.reshape(n, 2)
     out = []
     for point in range(n):
         intra = sums[point, 0] / counts[point, 0] if counts[point, 0] else None
@@ -280,11 +326,7 @@ def intra_fraction_curve(
     Pairs sort by ratio descending; absent ratios count as maximally
     compressed and come first; ties keep pair-index order.
     """
-    if labels is None:
-        labels = pairs.labels
-    if labels is None:
-        raise InputError("curve requires labels")
-    labels = np.asarray(labels)
+    labels = _require_labels(pairs, labels, "curve")
     grid = default_curve_grid() if grid is None else np.asarray(grid)
     same = labels[pairs.i] == labels[pairs.j]
     finite_rank = np.where(pairs.degenerate, np.inf, pairs.ratio)
@@ -295,6 +337,28 @@ def intra_fraction_curve(
     for x in grid:
         top = min(total, max(1, int(np.ceil(x * total - 1e-9))))
         out.append(CurvePoint(float(x), float(cumulative[top - 1] / top)))
+    return out
+
+
+def pcs_sweep(
+    A: DataMatrix, P: Projector, grid: Sequence[int], pair_policy: PairPolicy = "exact"
+) -> List[dict]:
+    """Mean intra and inter ratios, and their gap, under P's leading k' for k' in grid."""
+    if A.labels is None:
+        raise InputError("sweep requires labels")
+    leading = (
+        replace(P, components=P.components[:k], singular_values=P.singular_values[:k])
+        for k in grid
+    )
+    out = []
+    for kprime, pairs in zip(grid, _pair_sets(A, leading, pair_policy)):
+        table = ClusterPairTable(pairs)
+        diagonal = np.eye(len(table.count), dtype=bool)
+        intra, inter = (table.group(cells) for cells in (diagonal, ~diagonal))
+        intra_mean = intra.ratio_avg if intra else None
+        inter_mean = inter.ratio_avg if inter else None
+        gap = None if intra_mean is None or inter_mean in (None, 0.0) else intra_mean / inter_mean
+        out.append(dict(pcs=kprime, intra_ratio_avg=intra_mean, inter_ratio_avg=inter_mean, gap=gap))
     return out
 
 
@@ -322,8 +386,7 @@ def centering_comparison(A: DataMatrix, k: int, opts=None) -> CenteringReport:
     cosine = None if norm == 0 else float(abs(unc.components[0] @ mean) / norm)
     if A.labels is None:
         return CenteringReport(cosine, None, None, None)
-    table_unc = cluster_summary(pair_compression(A, unc))
-    table_cen = cluster_summary(pair_compression(A, cen))
+    table_unc, table_cen = (cluster_summary(p) for p in _pair_sets(A, [unc, cen], "exact"))
     deltas = {}
     for row_u, row_c in zip(table_unc.rows, table_cen.rows):
         cells = {}
@@ -361,23 +424,10 @@ def extra_pc_split(A: DataMatrix, P: Projector, k: int) -> PairSplit:
     if not 1 <= k <= P.k:
         raise InputError(f"need 1 <= k <= k'={P.k}, got k={k}")
     Y = project_columns(P, A)
-    i, j = np.triu_indices(A.n, k=1)
-    i = i.astype(np.int64)
-    j = j.astype(np.int64)
-    diff = Y[:, i] - Y[:, j]
-    lead_sq = np.einsum("ij,ij->j", diff[:k], diff[:k])
-    trail_sq = np.einsum("ij,ij->j", diff[k:], diff[k:])
-    post_sq = np.einsum("ij,ij->j", diff, diff)
-    mismatch = np.abs(post_sq - (lead_sq + trail_sq))
-    tolerance = 1e-9 * np.maximum(post_sq, 1e-300)
-    if np.any(mismatch > tolerance):
+    i, j = _pair_indices(A.n, "exact")
+    leading, trailing, post = (_pair_distances(Z, i, j, True) for Z in (Y[:k], Y[k:], Y))
+    post_sq, parts_sq = post**2, leading**2 + trailing**2
+    if np.any(np.abs(post_sq - parts_sq) > 1e-9 * np.maximum(post_sq, 1e-300)):
         raise NumericalError("projected distance parts fail the Pythagorean identity")
     same = None if A.labels is None else A.labels[i] == A.labels[j]
-    return PairSplit(
-        i=i,
-        j=j,
-        leading=np.sqrt(lead_sq),
-        trailing=np.sqrt(trail_sq),
-        post=np.sqrt(post_sq),
-        same=same,
-    )
+    return PairSplit(i=i, j=j, leading=leading, trailing=trailing, post=np.sqrt(parts_sq), same=same)

@@ -204,6 +204,8 @@ class RandomVectorModel:
                 )
             except KeyError as missing:
                 raise InputError(f"sbm shorthand missing field {missing}")
+            except (TypeError, ValueError) as err:
+                raise InputError(f"malformed model field: {err}")
         try:
             specs = doc["noise"]
             if not isinstance(specs, list) or not all(isinstance(x, dict) for x in specs):
@@ -212,6 +214,8 @@ class RandomVectorModel:
             return cls(np.asarray(doc["centers"]), doc["sizes"], noise)
         except KeyError as missing:
             raise InputError(f"model document missing field {missing}")
+        except (TypeError, ValueError) as err:
+            raise InputError(f"malformed model field: {err}")
 
 
 def save_model(model: RandomVectorModel, path) -> None:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from pcacompress.bounds import (
     BoundParams,
@@ -23,6 +24,7 @@ from pcacompress.bounds import (
     verify_bounds,
 )
 from pcacompress.errors import InputError
+from pcacompress.linalg import fit_uncentered_pca
 from pcacompress.models import (
     NoiseSpec,
     RandomVectorModel,
@@ -454,6 +456,47 @@ class TestVerifyBounds:
             assert rec.violations == 0
         assert report.record("inter-ratio-upper", 0, 1).violations == 0
         assert report.sigma_condition_met
+
+    def test_empirical_extremes_match_bruteforce_oracle(self):
+        # three clusters, so three off-diagonal cluster pairs; k' above k
+        model = sbm_rectangular(300, [12, 15, 18], p=0.7, q=0.3)
+        seeds, kprime = [3, 4], 4
+        report = verify_bounds(model, seeds=seeds, kprime=kprime)
+        worst = {}
+        for seed in seeds:
+            A = generate_dataset(model, seed)
+            P = fit_uncentered_pca(A, kprime)
+            pre = pdist(A.values.T)
+            post = pdist((P.components @ A.values).T)
+            cells = {}
+            for t, (a, b) in enumerate(zip(*np.triu_indices(A.n, k=1))):
+                cell = tuple(sorted({int(A.labels[a]), int(A.labels[b])}))
+                cells.setdefault(cell, []).append((pre[t], post[t]))
+            for cell, values in cells.items():
+                pres, posts = np.array(values).T
+                assert np.all(posts > 1e-12 * pres)
+                ratios = pres / posts
+                if len(cell) == 1:
+                    found = {
+                        "pre-intra-lower": pres.min(),
+                        "post-intra-upper": posts.max(),
+                        "intra-ratio-lower": ratios.min(),
+                    }
+                else:
+                    found = {
+                        "pre-inter-upper": pres.max(),
+                        "post-inter-lower": posts.min(),
+                        "inter-ratio-upper": ratios.max(),
+                    }
+                for name, value in found.items():
+                    pick = min if name.endswith("lower") else max
+                    key = (name, cell)
+                    worst[key] = value if key not in worst else pick(worst[key], value)
+            noise = np.linalg.norm(A.values - model.mean_matrix(), 2)
+            worst[("noise-norm", ())] = max(worst.get(("noise-norm", ()), 0.0), noise)
+        assert len(report.records) == len(worst) == 3 * 3 + 3 * 3 + 1
+        for rec in report.records:
+            np.testing.assert_allclose(rec.empirical, worst[(rec.bound, rec.clusters)], rtol=1e-12)
 
     def test_empirical_spectrum_option(self):
         model = sbm_rectangular(500, [60, 60], p=0.7, q=0.3)

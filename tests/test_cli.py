@@ -83,6 +83,14 @@ class TestExitCodes:
              "noise must be a list of JSON objects"),
             ({"centers": [[0.5]], "sizes": [2], "noise": ["bernoulli-residual"]},
              "noise must be a list of JSON objects"),
+            ({"sbm": {"d": "x", "sizes": [2, 2], "p": 0.7, "q": 0.3}},
+             "malformed model field"),
+            ({"sbm": {"d": 4, "sizes": 5, "p": 0.7, "q": 0.3}}, "malformed model field"),
+            ({"centers": [[0.5]], "sizes": 5, "noise": [{"family": "bernoulli-residual"}]},
+             "malformed model field"),
+            ({"centers": [[0.5]], "sizes": [2],
+              "noise": [{"family": "uniform-symmetric", "scale": "big"}]},
+             "malformed model field"),
         ],
     )
     def test_malformed_model_document(self, doc, message, tmp_path, capsys):

@@ -1,3 +1,8 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +11,7 @@ import scipy.stats
 from pcacompress.errors import InputError
 from pcacompress.linalg import DataMatrix, fit_uncentered_pca
 from pcacompress.metrics import (
+    GRAM_RECOMPUTE_RTOL,
     CurvePoint,
     PairSet,
     centering_comparison,
@@ -124,6 +130,62 @@ class TestPairCompression:
             pair_compression(A, P, pair_policy="approximate")
         with pytest.raises(InputError):
             pair_compression(A, P, pair_policy=("sampled", 10**9, 0))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_exact_agrees_with_sampled_all_pairs(self, sparse):
+        # columns 0-99 sit at offset 1000 with spread 1e-3, so the Gram
+        # identity cancels for their pairs; columns 100-199 and the cross
+        # pairs keep their digits
+        rng = np.random.default_rng(0)
+        d = 300
+        X = np.hstack(
+            [1000.0 + 1e-3 * rng.standard_normal((d, 100)), rng.uniform(size=(d, 100))]
+        )
+        i, j = np.triu_indices(X.shape[1], k=1)
+        G = X.T @ X
+        g = np.diag(G)
+        below = g[i] + g[j] - 2.0 * G[i, j] <= GRAM_RECOMPUTE_RTOL * (g[i] + g[j])
+        assert below.any() and not below.all()
+        A = DataMatrix(sp.csc_array(X) if sparse else X)
+        P = fit_uncentered_pca(A, 5)
+        exact = pair_compression(A, P)
+        sampled = pair_compression(A, P, pair_policy=("sampled", len(i), 0))
+        np.testing.assert_array_equal(exact.i, sampled.i)
+        np.testing.assert_array_equal(exact.j, sampled.j)
+        np.testing.assert_allclose(exact.pre, sampled.pre, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(exact.post, sampled.post, rtol=1e-9, atol=0)
+        np.testing.assert_array_equal(exact.degenerate, sampled.degenerate)
+        np.testing.assert_allclose(exact.ratio, sampled.ratio, rtol=1e-9, atol=0)
+
+    def test_sampled_memory_stays_bounded(self):
+        # 20000 sampled pairs of a dense 2000 x 1000 matrix; a fresh process
+        # so the high-water mark before the call is this setup's alone
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from pcacompress.linalg import DataMatrix, Projector
+            from pcacompress.metrics import pair_compression
+
+            rng = np.random.default_rng(0)
+            A = DataMatrix(rng.uniform(size=(2000, 1000)))
+            Q, _ = np.linalg.qr(rng.standard_normal((2000, 5)))
+            P = Projector(Q.T, [5.0, 4.0, 3.0, 2.0, 1.0])
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            pairs = pair_compression(A, P, ("sampled", 20000, 0))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            assert len(pairs) == 20000
+            print((after - before) / 1024.0)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {"PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        growth_mb = float(done.stdout)
+        assert growth_mb < 100.0
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12])
     def test_triangular_decode_covers_all_pairs(self, n):
