@@ -15,6 +15,7 @@ subtracted parenthesis. Both sites are implemented verbatim.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -103,6 +104,13 @@ def _check_cluster(params: BoundParams, j: int) -> None:
         raise InputError(f"cluster index {j} outside [0, {params.k})")
 
 
+def _check_pair(params: BoundParams, j: int, jp: int) -> None:
+    _check_cluster(params, j)
+    _check_cluster(params, jp)
+    if j == jp:
+        raise InputError("inter bound needs two distinct clusters")
+
+
 def pre_pca_intra_lower(params: BoundParams, j: int) -> float:
     """Lower bound on original-space distance within cluster j.
 
@@ -116,10 +124,7 @@ def pre_pca_intra_lower(params: BoundParams, j: int) -> float:
 
 def pre_pca_inter_upper(params: BoundParams, j: int, jp: int) -> float:
     """Upper bound on original-space distance between clusters j and jp."""
-    _check_cluster(params, j)
-    _check_cluster(params, jp)
-    if j == jp:
-        raise InputError("inter bound needs two distinct clusters")
+    _check_pair(params, j, jp)
     sep = params.separations[j, jp]
     return math.sqrt(
         params.d * (params.sigma_j[j] ** 2 + params.sigma_j[jp] ** 2)
@@ -131,6 +136,19 @@ def pre_pca_inter_upper(params: BoundParams, j: int, jp: int) -> float:
 def _require_spectrum(params: BoundParams) -> None:
     if params.s_k <= 0:
         raise InputError("s_k must be positive for post-projection bounds")
+
+
+def _inter_spectral(params: BoundParams, j: int, jp: int) -> float:
+    """C0 sigma^2 sqrt(2 (d + n) (sep^2 + d (sigma_j^2 + sigma_jp^2))) / s_k."""
+    sep = params.separations[j, jp]
+    return (
+        params.C0 * params.sigma**2
+        * math.sqrt(
+            2.0 * (params.d + params.n)
+            * (sep**2 + params.d * (params.sigma_j[j] ** 2 + params.sigma_j[jp] ** 2))
+        )
+        / params.s_k
+    )
 
 
 def post_pca_intra_upper(params: BoundParams, j: int) -> float:
@@ -149,21 +167,10 @@ def post_pca_inter_lower(params: BoundParams, j: int, jp: int) -> float:
 
     May come out non-positive; callers should then flag it vacuous.
     """
-    _check_cluster(params, j)
-    _check_cluster(params, jp)
-    if j == jp:
-        raise InputError("inter bound needs two distinct clusters")
+    _check_pair(params, j, jp)
     _require_spectrum(params)
     sep = params.separations[j, jp]
-    spectral = (
-        2.0 * params.C0 * params.sigma**2
-        * math.sqrt(
-            2.0 * (params.d + params.n)
-            * (sep**2 + params.d * (params.sigma_j[j] ** 2 + params.sigma_j[jp] ** 2))
-        )
-        / params.s_k
-    )
-    return sep - 2.0 * _projected_noise(params) - spectral
+    return sep - 2.0 * _projected_noise(params) - 2.0 * _inter_spectral(params, j, jp)
 
 
 def intra_ratio_lower(params: BoundParams, j: int) -> float:
@@ -190,21 +197,10 @@ def inter_ratio_upper(params: BoundParams, j: int, jp: int) -> Optional[float]:
     spectral correction is subtracted inside the subtracted parenthesis,
     which raises the denominator; kept verbatim, see module docstring.
     """
-    _check_cluster(params, j)
-    _check_cluster(params, jp)
-    if j == jp:
-        raise InputError("ratio bound needs two distinct clusters")
+    _check_pair(params, j, jp)
     _require_spectrum(params)
     sep = params.separations[j, jp]
-    spectral = (
-        params.C0 * params.sigma**2
-        * math.sqrt(
-            2.0 * (params.d + params.n)
-            * (sep**2 + params.d * (params.sigma_j[j] ** 2 + params.sigma_j[jp] ** 2))
-        )
-        / params.s_k
-    )
-    inner = sep - 2.0 * (_projected_noise(params) - spectral)
+    inner = sep - 2.0 * (_projected_noise(params) - _inter_spectral(params, j, jp))
     if inner <= 0:
         return None
     return pre_pca_inter_upper(params, j, jp) / (math.sqrt(2.0) * inner)
@@ -370,15 +366,7 @@ class BoundRecord:
     vacuous: bool
 
     def to_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "clusters": list(self.clusters),
-            "analytic": self.analytic,
-            "empirical": self.empirical,
-            "violations": self.violations,
-            "trials": self.trials,
-            "vacuous": self.vacuous,
-        }
+        return {**dataclasses.asdict(self), "clusters": list(self.clusters)}
 
 
 @dataclass
@@ -426,27 +414,37 @@ class _Extremes:
 
     def update(self, analytic: Optional[float], empirical: Optional[float], vacuous: bool):
         self.analytic = analytic
-        self.vacuous = self.vacuous or bool(vacuous)
+        if vacuous:
+            self.vacuous = True
         if empirical is None:
             return
-        lower = self.kind == "lower"
-        pick = min if lower else max
-        self.worst = empirical if self.worst is None else pick(self.worst, empirical)
+        if self.worst is None:
+            self.worst = empirical
+        elif self.kind == "lower":
+            self.worst = min(self.worst, empirical)
+        else:
+            self.worst = max(self.worst, empirical)
         if not vacuous and analytic is not None:
-            self.violations += int(empirical < analytic if lower else empirical > analytic)
+            if self.kind == "lower" and empirical < analytic:
+                self.violations += 1
+            if self.kind == "upper" and empirical > analytic:
+                self.violations += 1
 
 
-# Each pair bound and the quantity it is checked on: a lower bound against
-# its cell's smallest value, an upper bound its largest. Upper bounds are
-# always positive, so an absent or non-positive bound is vacuous.
-_PAIR_BOUNDS = {
-    "pre-intra-lower": (pre_pca_intra_lower, "pre"),
-    "post-intra-upper": (post_pca_intra_upper, "post"),
-    "intra-ratio-lower": (intra_ratio_lower, "ratio"),
-    "pre-inter-upper": (pre_pca_inter_upper, "pre"),
-    "post-inter-lower": (post_pca_inter_lower, "post"),
-    "inter-ratio-upper": (inter_ratio_upper, "ratio"),
-}
+# Each pair bound: its name, function, the pair quantity it is checked on
+# and its kind. A lower bound is checked against its cell's smallest
+# value, an upper bound against its largest. Upper bounds are always
+# positive, so an absent or non-positive bound is vacuous.
+_INTRA_BOUNDS = (
+    ("pre-intra-lower", pre_pca_intra_lower, "pre", "lower"),
+    ("post-intra-upper", post_pca_intra_upper, "post", "upper"),
+    ("intra-ratio-lower", intra_ratio_lower, "ratio", "lower"),
+)
+_INTER_BOUNDS = (
+    ("pre-inter-upper", pre_pca_inter_upper, "pre", "upper"),
+    ("post-inter-lower", post_pca_inter_lower, "post", "lower"),
+    ("inter-ratio-upper", inter_ratio_upper, "ratio", "upper"),
+)
 
 
 def verify_bounds(
@@ -476,12 +474,12 @@ def verify_bounds(
         raise InputError("need at least one seed")
 
     base = BoundParams.from_model(model, C0=C0)
-    trackers = {
-        (name, (j,) if j == jp else (j, jp)): _Extremes(name.rsplit("-", 1)[1])
-        for j, jp in itertools.combinations_with_replacement(range(k), 2)
-        for name in _PAIR_BOUNDS
-        if ("intra" in name) == (j == jp)
-    }
+    # one tracker per record, with the bound and quantity it checks
+    checks = []
+    for j, jp in itertools.combinations_with_replacement(range(k), 2):
+        clusters = (j,) if j == jp else (j, jp)
+        for name, bound, quantity, kind in _INTRA_BOUNDS if j == jp else _INTER_BOUNDS:
+            checks.append((name, clusters, bound, quantity, _Extremes(kind)))
     noise = _Extremes("upper")
 
     sk_empirical = []
@@ -493,12 +491,11 @@ def verify_bounds(
         params = base
         if use_empirical_sk:
             params = BoundParams.from_model(model, C0=C0, s_k=sk_seed)
-        table = ClusterPairTable(pair_compression(A, P))
-        for (name, clusters), tracker in trackers.items():
+        table = ClusterPairTable(pair_compression(A, P), extremes=True)
+        for _, clusters, bound, quantity, tracker in checks:
             cell = (clusters[0], clusters[-1])
             if not table.count[cell]:
                 continue
-            bound, quantity = _PAIR_BOUNDS[name]
             b = bound(params, *clusters)
             lower = tracker.kind == "lower"
             worst = float((table.min if lower else table.max)[quantity][cell])
@@ -508,7 +505,7 @@ def verify_bounds(
         check = _noise_norm_check(model, A, C0)
         noise.update(check.bound, check.estimate, vacuous=False)
 
-    trackers[("noise-norm", ())] = noise
+    checks.append(("noise-norm", (), None, None, noise))
     records = [
         BoundRecord(
             bound=name,
@@ -519,7 +516,7 @@ def verify_bounds(
             trials=len(seed_list),
             vacuous=t.vacuous,
         )
-        for (name, clusters), t in trackers.items()
+        for name, clusters, _, _, t in checks
     ]
     return BoundReport(
         records=records,

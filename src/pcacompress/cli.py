@@ -244,22 +244,13 @@ SUMMARY_HEADER = (
 
 
 def _summary_rows(summary, names) -> list:
-    rows = []
-    for row in summary.rows:
-        intra = row.intra
-        rows.append(
-            [
-                _cluster_name(names, row.cluster),
-                row.size,
-                row.inter.pre_avg,
-                row.inter.post_avg,
-                row.inter.ratio_avg,
-                intra.pre_avg if intra else None,
-                intra.post_avg if intra else None,
-                intra.ratio_avg if intra else None,
-            ]
-        )
-    return rows
+    averages = ("pre_avg", "post_avg", "ratio_avg")
+    return [
+        [_cluster_name(names, row.cluster), row.size]
+        + [getattr(row.inter, key) for key in averages]
+        + [getattr(row.intra, key) if row.intra else None for key in averages]
+        for row in summary.rows
+    ]
 
 
 def cmd_analyze(args) -> None:
@@ -292,10 +283,7 @@ def cmd_analyze(args) -> None:
         points = pointwise_summary(pairs)
         curve = intra_fraction_curve(pairs)
         doc["clusters"] = _summary_doc(summary, names)
-        doc["points"] = [
-            {"point": p.point, "intra_avg": p.intra_avg, "inter_avg": p.inter_avg}
-            for p in points
-        ]
+        doc["points"] = [dataclasses.asdict(p) for p in points]
         _write_curve_csv(out / "curve.csv", curve)
         if args.format == "tsv":
             _write_tsv(out / "compression.tsv", SUMMARY_HEADER, _summary_rows(summary, names))
@@ -351,23 +339,12 @@ def cmd_verify_bounds(args) -> None:
     if args.format == "json":
         _write_json(out / "bounds.json", report.to_dict())
     else:
-        rows = [
-            [
-                record.bound,
-                ",".join(str(c) for c in record.clusters),
-                record.analytic,
-                record.empirical,
-                record.violations,
-                record.trials,
-                record.vacuous,
-            ]
-            for record in report.records
-        ]
-        _write_tsv(
-            out / "bounds.tsv",
-            ("bound", "clusters", "analytic", "empirical", "violations", "trials", "vacuous"),
-            rows,
-        )
+        header = ("bound", "clusters", "analytic", "empirical", "violations", "trials", "vacuous")
+        rows = []
+        for record in report.records:
+            doc = dict(record.to_dict(), clusters=",".join(str(c) for c in record.clusters))
+            rows.append([doc[key] for key in header])
+        _write_tsv(out / "bounds.tsv", header, rows)
     write_manifest(args, {"model": args.model}, {"c0": args.c0, "seeds": args.seeds})
 
 

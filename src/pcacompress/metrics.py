@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
 from .linalg import DataMatrix, Projector, gram, project_columns
@@ -85,20 +86,12 @@ class PairSet:
 
 def _triangular_decode(index: np.ndarray, n: int):
     """Map linear indices over unordered pairs to (i, j), i < j, row-major."""
-    index = index.astype(np.int64)
-    # row i starts at offset i*(2n - i - 1)/2; invert the quadratic
-    b = 2 * n - 1
-    i = np.floor((b - np.sqrt(b * b - 8.0 * index)) / 2.0).astype(np.int64)
-    start = i * (2 * n - i - 1) // 2
-    # float rounding can land one row off; correct both directions
-    overshoot = start > index
-    i[overshoot] -= 1
-    start = i * (2 * n - i - 1) // 2
-    undershoot = index >= start + (n - 1 - i)
-    i[undershoot] += 1
-    start = i * (2 * n - i - 1) // 2
-    j = index - start + i + 1
-    return i, j
+    index = np.asarray(index, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
+    # row i's pairs start at linear index i*(2n - i - 1)/2
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, index, side="right") - 1
+    return i, index - starts[i] + i + 1
 
 
 def _pair_indices(n: int, pair_policy: PairPolicy):
@@ -123,18 +116,31 @@ def _pair_distances(M, i: np.ndarray, j: np.ndarray, all_pairs: bool) -> np.ndar
 
     With ``all_pairs`` (i, j) hold every column pair, and a pair's squared
     distance comes from the Gram matrix unless it is at or below
-    ``GRAM_RECOMPUTE_RTOL * (g_i + g_j)``. Every other distance is a
-    direct difference, taken over column blocks of bounded size.
+    ``GRAM_RECOMPUTE_RTOL * (g_i + g_j)``. A dense M is centered first,
+    in row blocks: distances ignore a shift shared by every column, and
+    such a shift would otherwise cancel in the Gram identity. Every other
+    distance is a direct difference, taken over blocks of bounded size.
     """
+    sparse = sp.issparse(M)
     if all_pairs:
-        G = gram(M)
+        if sparse:
+            G = gram(M)
+        else:
+            mean = M.mean(axis=1, keepdims=True)
+            rows = max(1, _BLOCK_ENTRIES // M.shape[1])
+            G = np.zeros((M.shape[1], M.shape[1]))
+            for r in range(0, M.shape[0], rows):
+                G += gram(M[r : r + rows] - mean[r : r + rows])
         g = np.diag(G).copy()
         scale = g[i] + g[j]
         sq = scale - 2.0 * G[i, j]
         direct = np.flatnonzero(sq <= GRAM_RECOMPUTE_RTOL * scale)
     else:
         sq, direct = np.empty(len(i)), np.arange(len(i))
-    step = _BLOCK_ENTRIES // max(1, M.shape[0]) or 1
+    # entries of one pair's difference: d, or for a sparse M at most the
+    # nonzeros of two columns
+    width = 2.0 * M.nnz / M.shape[1] if sparse else M.shape[0]
+    step = max(1, int(_BLOCK_ENTRIES // max(1.0, width)))
     for start in range(0, len(direct), step):
         t = direct[start : start + step]
         diff = M[:, i[t]] - M[:, j[t]]
@@ -194,20 +200,24 @@ class ClusterPairTable:
     """Counts, sums and extremes of a pair set over unordered cluster pairs.
 
     Built in one pass over the pairs. Arrays are k x k; cell (a, b),
-    a <= b, holds the pairs between clusters a and b. ``sum``, ``min``
-    and ``max`` are keyed by ``pre``, ``post`` and ``ratio``. Ratio sums
-    run over the ``finite`` pairs; ratio extremes count a degenerate
-    pair's ratio as +inf.
+    a <= b, holds the pairs between clusters a and b. ``sum`` is keyed
+    by ``pre``, ``post`` and ``ratio``, and so are ``min`` and ``max``,
+    which are built only with ``extremes`` (else None). Ratio sums run
+    over the ``finite`` pairs; ratio extremes count a degenerate pair's
+    ratio as +inf.
     """
 
-    def __init__(self, pairs: PairSet, labels: Optional[np.ndarray] = None):
+    def __init__(
+        self, pairs: PairSet, labels: Optional[np.ndarray] = None, extremes: bool = False
+    ):
         labels = _require_labels(pairs, labels, "cluster-pair table")
         k = int(labels.max()) + 1
-        count, finite = np.zeros((2, k * k), dtype=np.int64)
-        sums, mins, maxs = (
-            {q: np.full(k * k, fill) for q in ("pre", "post", "ratio")}
-            for fill in (0.0, np.inf, -np.inf)
-        )
+        count = np.zeros(k * k, dtype=np.int64)
+        finite = np.zeros(k * k, dtype=np.int64)
+        quantities = ("pre", "post", "ratio")
+        sums = {q: np.zeros(k * k) for q in quantities}
+        mins = {q: np.full(k * k, np.inf) for q in quantities}
+        maxs = {q: np.full(k * k, -np.inf) for q in quantities}
         for start in range(0, len(pairs), _CHUNK_PAIRS):
             s = slice(start, start + _CHUNK_PAIRS)
             la, lb = labels[pairs.i[s]], labels[pairs.j[s]]
@@ -215,18 +225,19 @@ class ClusterPairTable:
             fin = ~pairs.degenerate[s]
             count += np.bincount(cell, minlength=k * k)
             finite += np.bincount(cell[fin], minlength=k * k)
-            for q in sums:
+            for q in quantities:
                 values = getattr(pairs, q)[s]
                 keep = fin if q == "ratio" else slice(None)
                 sums[q] += np.bincount(cell[keep], weights=values[keep], minlength=k * k)
-                if q == "ratio":
-                    values = np.where(fin, values, np.inf)
-                np.minimum.at(mins[q], cell, values)
-                np.maximum.at(maxs[q], cell, values)
+                if extremes:
+                    if q == "ratio":
+                        values = np.where(fin, values, np.inf)
+                    np.minimum.at(mins[q], cell, values)
+                    np.maximum.at(maxs[q], cell, values)
         self.count, self.finite = count.reshape(k, k), finite.reshape(k, k)
-        self.sum, self.min, self.max = (
-            {q: a.reshape(k, k) for q, a in part.items()} for part in (sums, mins, maxs)
-        )
+        self.sum = {q: a.reshape(k, k) for q, a in sums.items()}
+        self.min = {q: a.reshape(k, k) for q, a in mins.items()} if extremes else None
+        self.max = {q: a.reshape(k, k) for q, a in maxs.items()} if extremes else None
 
     def group(self, cells) -> Optional[GroupStats]:
         """Averages over the pairs of the selected cells (any k x k index)."""
@@ -272,7 +283,8 @@ def cluster_summary(pairs: PairSet, labels: Optional[np.ndarray] = None) -> Clus
         inter = table.group(touches & (a != b))
         if inter is None:
             raise InputError("every cluster needs at least one cross pair")
-        rows.append(ClusterRow(cluster, int(sizes[cluster]), table.group((cluster, cluster)), inter))
+        intra = table.group((cluster, cluster))
+        rows.append(ClusterRow(cluster=cluster, size=int(sizes[cluster]), intra=intra, inter=inter))
     return ClusterSummary(rows)
 
 
@@ -354,11 +366,18 @@ def pcs_sweep(
     for kprime, pairs in zip(grid, _pair_sets(A, leading, pair_policy)):
         table = ClusterPairTable(pairs)
         diagonal = np.eye(len(table.count), dtype=bool)
-        intra, inter = (table.group(cells) for cells in (diagonal, ~diagonal))
+        intra = table.group(diagonal)
+        inter = table.group(~diagonal)
         intra_mean = intra.ratio_avg if intra else None
         inter_mean = inter.ratio_avg if inter else None
-        gap = None if intra_mean is None or inter_mean in (None, 0.0) else intra_mean / inter_mean
-        out.append(dict(pcs=kprime, intra_ratio_avg=intra_mean, inter_ratio_avg=inter_mean, gap=gap))
+        gap = (
+            intra_mean / inter_mean
+            if intra_mean is not None and inter_mean not in (None, 0.0)
+            else None
+        )
+        out.append(
+            {"pcs": kprime, "intra_ratio_avg": intra_mean, "inter_ratio_avg": inter_mean, "gap": gap}
+        )
     return out
 
 
@@ -425,9 +444,11 @@ def extra_pc_split(A: DataMatrix, P: Projector, k: int) -> PairSplit:
         raise InputError(f"need 1 <= k <= k'={P.k}, got k={k}")
     Y = project_columns(P, A)
     i, j = _pair_indices(A.n, "exact")
-    leading, trailing, post = (_pair_distances(Z, i, j, True) for Z in (Y[:k], Y[k:], Y))
-    post_sq, parts_sq = post**2, leading**2 + trailing**2
-    if np.any(np.abs(post_sq - parts_sq) > 1e-9 * np.maximum(post_sq, 1e-300)):
+    # Y has only k' rows, so direct differences are cheap and exact
+    leading, trailing, post = (_pair_distances(Z, i, j, False) for Z in (Y[:k], Y[k:], Y))
+    post_sq = post**2
+    mismatch = np.abs(post_sq - (leading**2 + trailing**2))
+    if np.any(mismatch > 1e-9 * np.maximum(post_sq, 1e-300)):
         raise NumericalError("projected distance parts fail the Pythagorean identity")
     same = None if A.labels is None else A.labels[i] == A.labels[j]
-    return PairSplit(i=i, j=j, leading=leading, trailing=trailing, post=np.sqrt(parts_sq), same=same)
+    return PairSplit(i=i, j=j, leading=leading, trailing=trailing, post=post, same=same)

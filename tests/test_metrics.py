@@ -134,7 +134,8 @@ class TestPairCompression:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_exact_agrees_with_sampled_all_pairs(self, sparse):
         # columns 0-99 sit at offset 1000 with spread 1e-3, so the Gram
-        # identity cancels for their pairs; columns 100-199 and the cross
+        # identity cancels for their pairs, with or without centering
+        # (the mean column sits near 500); columns 100-199 and the cross
         # pairs keep their digits
         rng = np.random.default_rng(0)
         d = 300
@@ -142,10 +143,11 @@ class TestPairCompression:
             [1000.0 + 1e-3 * rng.standard_normal((d, 100)), rng.uniform(size=(d, 100))]
         )
         i, j = np.triu_indices(X.shape[1], k=1)
-        G = X.T @ X
-        g = np.diag(G)
-        below = g[i] + g[j] - 2.0 * G[i, j] <= GRAM_RECOMPUTE_RTOL * (g[i] + g[j])
-        assert below.any() and not below.all()
+        for Z in (X, X - X.mean(axis=1, keepdims=True)):
+            G = Z.T @ Z
+            g = np.diag(G)
+            below = g[i] + g[j] - 2.0 * G[i, j] <= GRAM_RECOMPUTE_RTOL * (g[i] + g[j])
+            assert below.any() and not below.all()
         A = DataMatrix(sp.csc_array(X) if sparse else X)
         P = fit_uncentered_pca(A, 5)
         exact = pair_compression(A, P)
