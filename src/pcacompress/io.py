@@ -9,9 +9,12 @@ samples; ``IngestSpec.transpose`` flips a file stored the other way.
 from __future__ import annotations
 
 import gzip
+import io
+import warnings
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +23,10 @@ from .errors import InputError, ParseError
 from .linalg import DataMatrix
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
+_MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+# stored entries, on average, per column block that write_matrix formats at
+# once; the block's strings cost about 200 bytes per entry while it does
+_WRITE_BLOCK_ENTRIES = 1 << 12
 
 FORMATS = ("auto", "matrix-market", "csv")
 NORMALIZATIONS = ("none", "log1p")
@@ -56,150 +63,204 @@ class IngestSpec:
         raise InputError(f"cannot infer format from {self.matrix}; pass one explicitly")
 
 
-def _open_text(path):
+def _open_binary(path):
+    """A binary stream over a plain or gzip file."""
     path = str(path)
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
-
-
-def _read_lines(path) -> List[str]:
     try:
-        with _open_text(path) as fh:
-            return fh.read().split("\n")
+        return gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _entry_line_number(lines: List[str], first_entry_line: int, entry_index: int) -> int:
-    """1-based line number of the k-th data entry, skipping blank lines."""
-    seen = 0
-    for offset, line in enumerate(lines[first_entry_line - 1 :]):
-        if line.strip():
-            if seen == entry_index:
-                return first_entry_line + offset
-            seen += 1
-    return len(lines)
+def _numbered_lines(fh, path) -> Iterator[Tuple[int, str]]:
+    """(1-based line number, text) of each line of a binary stream.
+
+    Lines are decoded one at a time, so a byte that is not UTF-8, or a
+    compressed stream that breaks off, is a ParseError naming its line.
+    """
+    line_no = 0
+    try:
+        for line_no, raw in enumerate(fh, 1):
+            yield line_no, raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8 text: byte {raw[exc.start]:#04x} at column {exc.start + 1}",
+            path=path,
+            line=line_no,
+        ) from None
+    except (OSError, EOFError, zlib.error) as exc:
+        raise ParseError(f"cannot read: {exc}", path=path, line=line_no + 1) from None
 
 
-def _parse_matrix_market(path) -> sp.csc_array:
-    lines = _read_lines(path)
-    position = 0
-    while position < len(lines) and not lines[position].strip():
-        position += 1
-    if position >= len(lines):
+# what numpy's text reader raises on malformed text, undecodable bytes
+# (UnicodeDecodeError is a ValueError) or a broken compressed stream
+_READ_ERRORS = (ValueError, OSError, EOFError, zlib.error)
+
+
+def _loadtxt(fh, **kwargs) -> np.ndarray:
+    """numpy's C text reader over the rest of a binary stream, as UTF-8."""
+    text = io.TextIOWrapper(fh, encoding="utf-8")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(text, comments=None, **kwargs)
+    finally:
+        text.detach()
+
+
+def _read_mm_preamble(lines, path) -> Tuple[int, int, int, int]:
+    """Check the header and read the size line: (d, n, nnz, size line number)."""
+    first = next(((no, text.strip()) for no, text in lines if text.strip()), None)
+    if first is None:
         raise ParseError("empty file", path=path, line=1)
-    header = lines[position].strip()
+    position, header = first
     if header.lower() != MM_HEADER.lower():
         raise ParseError(
-            f"expected header {MM_HEADER!r}, got {header!r}", path=path, line=position + 1
+            f"expected header {MM_HEADER!r}, got {header!r}", path=path, line=position
         )
-    position += 1
-    while position < len(lines):
-        stripped = lines[position].strip()
+    for position, text in lines:
+        stripped = text.strip()
         if stripped and not stripped.startswith("%"):
             break
-        position += 1
-    if position >= len(lines):
-        raise ParseError("missing size line", path=path, line=len(lines))
-    size_fields = lines[position].split()
+    else:
+        raise ParseError("missing size line", path=path, line=position)
+    size_fields = text.split()
     if len(size_fields) != 3:
-        raise ParseError("size line needs three integers", path=path, line=position + 1)
+        raise ParseError("size line needs three integers", path=path, line=position)
     try:
         d, n, nnz = (int(f) for f in size_fields)
     except ValueError as exc:
-        raise ParseError(f"bad size line: {exc}", path=path, line=position + 1) from exc
+        raise ParseError(f"bad size line: {exc}", path=path, line=position) from exc
     if d < 1 or n < 1 or nnz < 0:
-        raise ParseError("declared dimensions must be positive", path=path, line=position + 1)
-    first_entry_line = position + 2
+        raise ParseError("declared dimensions must be positive", path=path, line=position)
+    return d, n, nnz, position
 
-    body = "\n".join(lines[position + 1 :])
-    tokens = body.split()
-    if len(tokens) != 3 * nnz:
-        found = len(tokens) // 3
-        raise ParseError(
-            f"declared {nnz} entries, found {found}",
-            path=path,
-            line=_entry_line_number(lines, first_entry_line, max(0, min(found, nnz) - 1)),
-        )
-    if nnz == 0:
-        return sp.csc_array((d, n), dtype=np.float64)
-    flat = np.array(tokens)
-    try:
-        rows = flat[0::3].astype(np.int64)
-        cols = flat[1::3].astype(np.int64)
-        values = flat[2::3].astype(np.float64)
-    except ValueError:
-        for index in range(nnz):
-            fields = tokens[3 * index : 3 * index + 3]
-            try:
-                int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric entry {' '.join(fields)!r}",
-                    path=path,
-                    line=_entry_line_number(lines, first_entry_line, index),
-                ) from None
-        raise
+
+def _entry_lines(path, size_line: int) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, fields) of each non-blank line after the size line, streamed."""
+    with _open_binary(path) as fh:
+        for line_no, text in _numbered_lines(fh, path):
+            fields = text.split()
+            if line_no > size_line and fields:
+                yield line_no, fields
+
+
+def _entry_line(path, size_line: int, index: int) -> int:
+    """Line number of the index-th (0-based) entry."""
+    line_no = size_line
+    for t, (line_no, _) in enumerate(_entry_lines(path, size_line)):
+        if t == index:
+            break
+    return line_no
+
+
+def _entry_error(path, size_line: int, exc: Exception) -> ParseError:
+    """The first entry line the text reader could not take, found by a line scan."""
+    for line_no, fields in _entry_lines(path, size_line):
+        if len(fields) != 3:
+            message = f"expected 3 fields, found {len(fields)}"
+        elif not (_is_number(fields[0], int) and _is_number(fields[1], int)):
+            message = f"non-integer coordinate in entry {' '.join(fields)!r}"
+        elif not _is_number(fields[2]):
+            message = f"non-numeric entry {' '.join(fields)!r}"
+        else:
+            continue
+        return ParseError(message, path=path, line=line_no)
+    return ParseError(f"unreadable entries: {exc}", path=path)
+
+
+def _parse_matrix_market(path) -> sp.csc_array:
+    with _open_binary(path) as fh:
+        d, n, nnz, size_line = _read_mm_preamble(_numbered_lines(fh, path), path)
+        try:
+            entries = _loadtxt(fh, dtype=_MM_ENTRY, ndmin=1)
+        except _READ_ERRORS as exc:
+            raise _entry_error(path, size_line, exc) from None
+    if len(entries) != nnz:
+        found = len(entries)
+        # the last entry when some are missing, the first surplus one otherwise
+        line = _entry_line(path, size_line, min(found - 1, nnz)) if found else size_line
+        raise ParseError(f"declared {nnz} entries, found {found}", path=path, line=line)
+    rows, cols = entries["row"], entries["col"]
     bad = (rows < 1) | (rows > d) | (cols < 1) | (cols > n)
     if bad.any():
         index = int(np.flatnonzero(bad)[0])
         raise ParseError(
             f"coordinate ({rows[index]}, {cols[index]}) outside declared {d} x {n}",
             path=path,
-            line=_entry_line_number(lines, first_entry_line, index),
+            line=_entry_line(path, size_line, index),
         )
-    order = np.lexsort((rows, cols))
-    linear = (cols[order] - 1) * d + (rows[order] - 1)
-    repeat = np.flatnonzero(linear[1:] == linear[:-1])
+    # column-major linear position; a stable sort keeps file order among repeats
+    key = cols - 1
+    key *= d
+    key += rows
+    key -= 1
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeat = np.flatnonzero(key[1:] == key[:-1])
     if repeat.size:
-        index = int(max(order[repeat[0]], order[repeat[0] + 1]))
+        index = int(order[repeat[0] + 1])
         raise ParseError(
             f"duplicate coordinate ({rows[index]}, {cols[index]})",
             path=path,
-            line=_entry_line_number(lines, first_entry_line, index),
+            line=_entry_line(path, size_line, index),
         )
-    return sp.csc_array(
-        (values, (rows - 1, cols - 1)), shape=(d, n), dtype=np.float64
-    )
+    values = entries["value"][order]
+    del entries, rows, cols, order
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * d)
+    np.remainder(key, d, out=key)
+    return sp.csc_array((values, key, indptr), shape=(d, n))
 
 
 def _parse_csv(path) -> np.ndarray:
-    lines = _read_lines(path)
-    rows = []
-    width = None
-    start = 0
-    numbered = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not numbered:
-        raise ParseError("empty file", path=path, line=1)
-    first_fields = numbered[0][1].split(",")
-    try:
-        [float(f) for f in first_fields]
-    except ValueError:
-        start = 1  # header row
-    for line_no, line in numbered[start:]:
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ParseError(
-                f"expected {width} fields, found {len(fields)}", path=path, line=line_no
-            )
+    with _open_binary(path) as fh:
+        first = next(
+            ((no, text) for no, text in _numbered_lines(fh, path) if text.strip()), None
+        )
+        if first is None:
+            raise ParseError("empty file", path=path, line=1)
+        header_line = first[0] if not all(map(_is_number, first[1].split(","))) else 0
+        if not header_line:
+            fh.seek(0)
         try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            culprit = next(f for f in fields if not _is_number(f))
-            raise ParseError(
-                f"non-numeric entry {culprit.strip()!r}", path=path, line=line_no
-            ) from None
-    if not rows:
+            values = _loadtxt(fh, dtype=np.float64, delimiter=",", ndmin=2)
+        except _READ_ERRORS as exc:
+            raise _csv_error(path, header_line, exc) from None
+    if values.shape[0] == 0:
         raise ParseError("no data rows", path=path, line=1)
-    return np.array(rows, dtype=np.float64)
+    return values
 
 
-def _is_number(token: str) -> bool:
+def _csv_error(path, header_line: int, exc: Exception) -> ParseError:
+    """The first data line the text reader could not take, found by a line scan."""
+    width = None
+    with _open_binary(path) as fh:
+        for line_no, text in _numbered_lines(fh, path):
+            text = text.rstrip("\r\n")
+            if line_no <= header_line or not text:
+                continue
+            fields = text.split(",")
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                return ParseError(
+                    f"expected {width} fields, found {len(fields)}", path=path, line=line_no
+                )
+            culprit = next((f for f in fields if not _is_number(f)), None)
+            if culprit is not None:
+                return ParseError(
+                    f"non-numeric entry {culprit.strip()!r}", path=path, line=line_no
+                )
+    return ParseError(f"unreadable rows: {exc}", path=path)
+
+
+def _is_number(token: str, kind=float) -> bool:
+    """Whether numpy's text reader takes the token: what ``kind`` parses,
+    less the underscores and non-ASCII digits only Python accepts."""
+    if not token.isascii() or "_" in token:
+        return False
     try:
-        float(token)
+        kind(token)
         return True
     except ValueError:
         return False
@@ -211,8 +272,12 @@ def load_labels(path, n: Optional[int] = None) -> Tuple[np.ndarray, List[str]]:
     Distinct label strings map to ids 0, 1, ... in order of first
     appearance. Returns the id array and the name of each id.
     """
-    lines = _read_lines(path)
-    numbered = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
+    with _open_binary(path) as fh:
+        numbered = [
+            (line_no, text.strip())
+            for line_no, text in _numbered_lines(fh, path)
+            if text.strip()
+        ]
     if not numbered:
         raise ParseError("empty labels file", path=path, line=1)
     two_column = "," in numbered[0][1]
@@ -293,31 +358,29 @@ def log_normalize(A: DataMatrix) -> DataMatrix:
     return DataMatrix(np.log1p(A.values), labels=A.labels)
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def write_matrix(A: DataMatrix, path) -> None:
-    """Write in matrix-market coordinate form, column-major entries."""
-    coo = sp.coo_array(A.values) if A.is_sparse else None
+    """Write in matrix-market coordinate form, column-major entries.
+
+    Values are written as ``repr`` of the float, which reads back
+    bit-identical. A dense matrix writes its nonzeros, a sparse one its
+    stored entries.
+    """
+    values = A.values
+    nnz = values.nnz if A.is_sparse else np.count_nonzero(values)
+    width = max(1, _WRITE_BLOCK_ENTRIES * A.n // max(nnz, 1))
     path = str(path)
     opener = gzip.open(path, "wt", encoding="utf-8") if path.endswith(".gz") else open(
         path, "w", encoding="utf-8"
     )
     with opener as fh:
-        fh.write(MM_HEADER + "\n")
-        if coo is not None:
-            order = np.lexsort((coo.row, coo.col))
-            fh.write(f"{A.d} {A.n} {coo.nnz}\n")
-            for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write(f"{r + 1} {c + 1} {_format_value(v)}\n")
-        else:
-            mask = A.values != 0.0
-            nnz = int(mask.sum())
-            fh.write(f"{A.d} {A.n} {nnz}\n")
-            for c in range(A.n):
-                for r in np.flatnonzero(mask[:, c]):
-                    fh.write(f"{r + 1} {c + 1} {_format_value(A.values[r, c])}\n")
+        fh.write(f"{MM_HEADER}\n{A.d} {A.n} {nnz}\n")
+        for start in range(0, A.n, width):
+            # a CSC block lists its entries column by column, rows ascending
+            block = sp.csc_array(values[:, start : start + width]).sorted_indices()
+            rows = (block.indices + 1).tolist()
+            cols = np.repeat(np.arange(start, start + block.shape[1]) + 1, np.diff(block.indptr))
+            entries = zip(rows, cols.tolist(), block.data.tolist())
+            fh.write("".join(f"{r} {c} {v!r}\n" for r, c, v in entries))
 
 
 def write_labels(labels: Sequence, path, names: Optional[List[str]] = None) -> None:

@@ -33,6 +33,10 @@ _CONTRACTION_RTOL = 1e-9
 # g_i + g_j - 2 G_ij is off by a few ulps of g_i + g_j; a squared distance
 # at or below this share of g_i + g_j is recomputed by direct difference
 GRAM_RECOMPUTE_RTOL = 1e-4
+# stored share of entries from which a sparse input's all-pairs Gram product
+# runs through dense BLAS row blocks: the sparse product costs more from
+# about 10 % nonzero on, whatever the shape
+DENSE_GRAM_DENSITY = 0.1
 # entries per block of direct differences, and pairs per reduction step
 _BLOCK_ENTRIES = 1 << 20
 _CHUNK_PAIRS = 1 << 16
@@ -116,21 +120,27 @@ def _pair_distances(M, i: np.ndarray, j: np.ndarray, all_pairs: bool) -> np.ndar
 
     With ``all_pairs`` (i, j) hold every column pair, and a pair's squared
     distance comes from the Gram matrix unless it is at or below
-    ``GRAM_RECOMPUTE_RTOL * (g_i + g_j)``. A dense M is centered first,
-    in row blocks: distances ignore a shift shared by every column, and
-    such a shift would otherwise cancel in the Gram identity. Every other
+    ``GRAM_RECOMPUTE_RTOL * (g_i + g_j)``. A dense M, or a sparse one with
+    at least ``DENSE_GRAM_DENSITY`` of its entries stored, is centered
+    first, in row blocks densified one at a time: distances ignore a shift
+    shared by every column, and such a shift would otherwise cancel in the
+    Gram identity. A sparser M keeps the sparse Gram product. Every other
     distance is a direct difference, taken over blocks of bounded size.
     """
     sparse = sp.issparse(M)
     if all_pairs:
-        if sparse:
+        d, n = M.shape
+        if sparse and M.nnz < DENSE_GRAM_DENSITY * d * n:
             G = gram(M)
         else:
-            mean = M.mean(axis=1, keepdims=True)
-            rows = max(1, _BLOCK_ENTRIES // M.shape[1])
-            G = np.zeros((M.shape[1], M.shape[1]))
-            for r in range(0, M.shape[0], rows):
-                G += gram(M[r : r + rows] - mean[r : r + rows])
+            mean = np.asarray(M.mean(axis=1)).reshape(d, 1)
+            # row slices of CSR are cheap, of CSC they cost a pass over all entries
+            R = sp.csr_array(M) if sparse else M
+            rows = max(1, _BLOCK_ENTRIES // n)
+            G = np.zeros((n, n))
+            for r in range(0, d, rows):
+                block = R[r : r + rows].toarray() if sparse else R[r : r + rows]
+                G += gram(block - mean[r : r + rows])
         g = np.diag(G).copy()
         scale = g[i] + g[j]
         sq = scale - 2.0 * G[i, j]

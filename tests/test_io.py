@@ -2,13 +2,21 @@
 
 import gzip
 import math
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
+from pcacompress import cli
 from pcacompress.errors import InputError, ParseError
 from pcacompress.io import (
+    MM_HEADER,
     IngestSpec,
     load_labels,
     load_matrix,
@@ -34,6 +42,39 @@ MM_LINES = [
 def write_text(path, lines):
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def mm_bytes(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
+def replaced(index, *new):
+    """MM_LINES with the line at ``index`` replaced by ``new`` lines."""
+    return mm_bytes(MM_LINES[:index] + list(new) + MM_LINES[index + 1 :])
+
+
+# (name, file content, line the error names, fragment of its message)
+MALFORMED_MATRIX_MARKET = [
+    ("wrong-header", replaced(0, "%%MatrixMarket matrix array real general"), 1, "expected header"),
+    ("missing-size-line", mm_bytes(MM_LINES[:2]), 2, "missing size line"),
+    ("two-field-size-line", replaced(2, "3 4"), 3, "size line needs three integers"),
+    ("non-integer-size-line", replaced(2, "3 4 five"), 3, "bad size line"),
+    ("non-positive-dimensions", replaced(2, "0 4 5"), 3, "must be positive"),
+    ("too-few-entries", mm_bytes(MM_LINES[:-1]), 7, "declared 5 entries, found 4"),
+    ("too-many-entries", mm_bytes(MM_LINES + ["2 3 1.0"]), 9, "declared 5 entries, found 6"),
+    ("non-numeric-value", replaced(6, "1 3 seven"), 7, "non-numeric entry '1 3 seven'"),
+    ("fractional-coordinate", replaced(4, "1.5 1 -2.0"), 5, "non-integer coordinate"),
+    ("out-of-range-coordinate", replaced(4, "4 1 -2.0"), 5, "(4, 1) outside declared 3 x 4"),
+    ("duplicate-coordinate", replaced(7, "1 1 9.0"), 8, "duplicate coordinate (1, 1)"),
+    ("four-fields", replaced(5, "2 2 0.25 9"), 6, "expected 3 fields, found 4"),
+    ("entry-wrapped-over-two-lines", replaced(5, "2 2", "0.25"), 6, "expected 3 fields, found 2"),
+    ("non-utf8-byte", mm_bytes(MM_LINES).replace(b"7.0", b"7.\xff"), 7, "not UTF-8"),
+]
+
+
+def _truncated_gzip():
+    blob = gzip.compress(mm_bytes(MM_LINES))
+    return blob[: len(blob) // 2]
 
 
 class TestMatrixMarket:
@@ -119,6 +160,111 @@ class TestMatrixMarket:
         assert A.values.nnz == 5
 
 
+class TestMalformedMatrixMarketCli:
+    """Every malformed matrix file exits 2 with a message naming file:line."""
+
+    def _analyze(self, path, tmp_path, capsys):
+        code = cli.main(
+            ["analyze", "--matrix", str(path), "--pcs", "1", "--out-dir", str(tmp_path / "out")]
+        )
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, line, message",
+        [case[1:] for case in MALFORMED_MATRIX_MARKET],
+        ids=[case[0] for case in MALFORMED_MATRIX_MARKET],
+    )
+    def test_malformed_file_exits_two_naming_its_line(
+        self, content, line, message, tmp_path, capsys
+    ):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(content)
+        code, err = self._analyze(path, tmp_path, capsys)
+        assert code == 2
+        assert f"{path}:{line}: " in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"not a gzip stream\n", _truncated_gzip()],
+        ids=["not-gzip", "truncated-gzip"],
+    )
+    def test_corrupt_gzip_exits_two_naming_a_line(self, content, tmp_path, capsys):
+        path = tmp_path / "m.mtx.gz"
+        path.write_bytes(content)
+        code, err = self._analyze(path, tmp_path, capsys)
+        assert code == 2
+        assert re.search(rf"{re.escape(str(path))}:\d+: cannot read", err)
+
+
+class TestMatrixMarketAgainstScipy:
+    """The parser against ``scipy.io.mmread``, compared to the bit."""
+
+    LINES = [
+        "%%MatrixMarket matrix coordinate real general",
+        "% explicit zeros, negatives and exponent forms, out of column order",
+        "4 3 9",
+        "2 3 -0.0",
+        "1 1 0.0",
+        "4 1 -1.5e-300",
+        "3 2 2.5E+10",
+        "1 3 4.9e-324",
+        "4 3 0.30000000000000004",
+        "2 1 -7",
+        "1 2 1E5",
+        "3 3 -123456.789e-2",
+    ]
+
+    @pytest.mark.parametrize("suffix", [".mtx", ".mtx.gz"])
+    def test_bit_identical_to_mmread(self, suffix, tmp_path):
+        path = tmp_path / f"m{suffix}"
+        content = mm_bytes(self.LINES)
+        path.write_bytes(gzip.compress(content) if suffix.endswith(".gz") else content)
+        plain = tmp_path / "plain.mtx"
+        plain.write_bytes(content)
+        ours, _ = load_matrix(IngestSpec(path))
+        theirs = sp.csc_array(scipy.io.mmread(str(plain)))
+        theirs.sort_indices()
+        assert ours.values.shape == theirs.shape
+        assert ours.values.nnz == theirs.nnz == 9
+        np.testing.assert_array_equal(ours.values.indptr, theirs.indptr)
+        np.testing.assert_array_equal(ours.values.indices, theirs.indices)
+        np.testing.assert_array_equal(
+            ours.values.data.view(np.int64), theirs.data.view(np.int64)
+        )
+
+    def test_parse_memory_per_entry_is_bounded(self, tmp_path):
+        # about 1 M entries; a fresh process, so the high-water mark before
+        # the call is the imports' alone
+        rng = np.random.default_rng(5)
+        A = DataMatrix(sp.random_array((2000, 5000), density=0.1, format="csc", rng=rng))
+        path = tmp_path / "big.mtx"
+        write_matrix(A, path)
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            from pcacompress.io import IngestSpec, load_matrix
+
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            A, _ = load_matrix(IngestSpec(sys.argv[1]))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(A.values.nnz, (after - before) * 1024.0 / A.values.nnz)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"},
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        nnz, bytes_per_entry = done.stdout.split()
+        assert int(nnz) == A.values.nnz
+        assert float(bytes_per_entry) < 120.0
+
+
 class TestDenseCsv:
     def test_plain_numeric_grid(self, tmp_path):
         path = write_text(tmp_path / "m.csv", ["1,2,3", "4,5,6"])
@@ -143,6 +289,13 @@ class TestDenseCsv:
             load_matrix(IngestSpec(path))
         assert info.value.line == 2
         assert "'x'" in str(info.value)
+
+    def test_non_utf8_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2,3\n4,\xff,6\n")
+        with pytest.raises(ParseError, match="not UTF-8") as info:
+            load_matrix(IngestSpec(path))
+        assert info.value.line == 2
 
     def test_header_only_file_is_rejected(self, tmp_path):
         path = write_text(tmp_path / "m.csv", ["a,b,c"])
@@ -188,6 +341,13 @@ class TestLabels:
         path.write_text("\n\n")
         with pytest.raises(ParseError, match="empty"):
             load_labels(path)
+
+    def test_non_utf8_label_names_its_line(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_bytes(b"a\nb\xff\nc\n")
+        with pytest.raises(ParseError, match="not UTF-8") as info:
+            load_labels(path)
+        assert info.value.line == 2
 
     def test_three_fields_in_csv_row_rejected(self, tmp_path):
         path = write_text(tmp_path / "l.csv", ["s1,T,extra"])
@@ -285,6 +445,29 @@ class TestRoundTrip:
         ids, names = load_labels(path)
         np.testing.assert_array_equal(ids, [0, 1, 1, 0])
         assert names == ["left", "right"]
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_written_file_matches_independent_formatting(self, sparse, tmp_path):
+        # about 9600 entries, so the writer goes through several column blocks
+        rng = np.random.default_rng(11)
+        d, n = 40, 600
+        scale = 10.0 ** rng.integers(-30, 30, (d, n))
+        dense = np.where(rng.random((d, n)) < 0.4, rng.standard_normal((d, n)) * scale, 0.0)
+        if sparse:
+            values = sp.csc_array(dense)
+            values.data[5] = 0.0  # an explicit zero is a stored entry
+            coo = sp.coo_array(values)
+            entries = sorted(zip(coo.col.tolist(), coo.row.tolist(), coo.data.tolist()))
+        else:
+            values = dense
+            entries = [
+                (c, r, float(dense[r, c])) for c in range(n) for r in range(d) if dense[r, c] != 0.0
+            ]
+        path = tmp_path / "w.mtx"
+        write_matrix(DataMatrix(values), path)
+        expected = [MM_HEADER, f"{d} {n} {len(entries)}"]
+        expected += [f"{r + 1} {c + 1} {v!r}" for c, r, v in entries]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_written_values_are_bit_identical(self, tmp_path):
         tricky = np.array([[0.1 + 0.2, 1e-17], [np.pi, -2.0 ** -40]])

@@ -11,6 +11,7 @@ import scipy.stats
 from pcacompress.errors import InputError
 from pcacompress.linalg import DataMatrix, fit_uncentered_pca
 from pcacompress.metrics import (
+    DENSE_GRAM_DENSITY,
     GRAM_RECOMPUTE_RTOL,
     CurvePoint,
     PairSet,
@@ -116,6 +117,20 @@ class TestPairCompression:
         want = pair_compression(A_dense, P)
         np.testing.assert_allclose(got.pre, want.pre, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(got.post, want.post, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("density", [0.03, 0.3])
+    def test_sparse_exact_matches_dense_either_side_of_gram_crossover(self, density):
+        # below DENSE_GRAM_DENSITY the sparse Gram product runs, above it the
+        # densified, centered row blocks
+        rng = np.random.default_rng(4)
+        dense = rng.uniform(size=(200, 60)) * (rng.uniform(size=(200, 60)) < density)
+        values = sp.csc_array(dense)
+        assert (values.nnz < DENSE_GRAM_DENSITY * dense.size) == (density < DENSE_GRAM_DENSITY)
+        P = fit_uncentered_pca(DataMatrix(dense), 3)
+        got = pair_compression(DataMatrix(values), P)
+        want = pair_compression(DataMatrix(dense), P)
+        np.testing.assert_allclose(got.pre, want.pre, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got.post, want.post, rtol=1e-10, atol=0)
 
     def test_dimension_mismatch_rejected(self):
         A = small_labeled_matrix()
