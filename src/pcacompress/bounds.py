@@ -24,7 +24,14 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import InputError
-from .linalg import DataMatrix, SvdOptions, fit_uncentered_pca, spectral_norm
+from .linalg import (
+    DataMatrix,
+    SvdOptions,
+    centered_gram,
+    fit_uncentered_pca,
+    spectral_norm,
+    top_eigenvalue,
+)
 from .metrics import ClusterPairTable, extra_pc_split, pair_compression
 from .models import RandomVectorModel, generate_dataset, model_stats
 
@@ -311,26 +318,57 @@ def extra_pc_check(
     return ExtraPcCheck(exceed, budget, int(intra.sum()), shift)
 
 
+# Largest estimated relative error, eps * max diag(Gc) / lambda_top, of
+# the top eigenvalue of E^T E derived from the centered Gram matrix Gc.
+# The derived entries carry an absolute error of a few eps * max diag(Gc),
+# so above this share the noise block E is formed and its norm taken
+# directly; at or below it the two agree to well within 1e-12.
+NOISE_GRAM_RTOL = 1e-14
+
+
 @dataclass
 class NoiseNormCheck:
+    """``source`` says where the estimate came from: ``gram`` (derived from
+    the dataset's centered Gram matrix) or ``direct`` (the noise block)."""
+
     estimate: float
     bound: float
     passed: bool
+    source: str
 
 
 def noise_norm_check(model: RandomVectorModel, seed: int, C0: float = 1.0) -> NoiseNormCheck:
     """Spectral norm of one instance's noise block versus C0 sigma sqrt(d+n)."""
-    return _noise_norm_check(model, generate_dataset(model, seed), C0)
+    A = generate_dataset(model, seed)
+    return _noise_norm_check(model, A, C0, *centered_gram(A.values))
 
 
-def _noise_norm_check(model: RandomVectorModel, A: DataMatrix, C0: float) -> NoiseNormCheck:
-    # E = A - mean matrix, built in the mean matrix's own buffer so the
-    # check holds only A and E
-    E = model.mean_matrix()
-    np.subtract(A.values, E, out=E)
-    estimate = spectral_norm(E)
+def _noise_norm_check(
+    model: RandomVectorModel, A: DataMatrix, C0: float, G: np.ndarray, mean: np.ndarray
+) -> NoiseNormCheck:
+    """The check on A, given the centered Gram matrix G and mean column of ``A.values``.
+
+    With the d x k centers C, the one-hot memberships Z and D = C - mean 1^T,
+    the noise block is E = (A - mean 1^T) - D Z^T, so
+    E^T E = G - H Z^T - Z H^T + Z (D^T D) Z^T with H = (A - mean 1^T)^T D:
+    an O(dnk) product instead of a second d x n buffer and Gram product.
+    """
+    labels = model.labels()
+    D = model.centers.T - mean[:, None]
+    H = np.asarray(A.values.T @ D) - (mean @ D)[None, :]
+    HZ = H[:, labels]
+    noise_gram = G - HZ - HZ.T + (D.T @ D)[np.ix_(labels, labels)]
+    top = top_eigenvalue(noise_gram)
+    if top > 0 and np.finfo(float).eps * np.diag(G).max() <= NOISE_GRAM_RTOL * top:
+        estimate, source = math.sqrt(top), "gram"
+    else:
+        # E = A - mean matrix, built in the mean matrix's own buffer so
+        # the fallback holds only A and E
+        E = model.mean_matrix()
+        np.subtract(A.values, E, out=E)
+        estimate, source = spectral_norm(E), "direct"
     bound = C0 * math.sqrt(model_stats(model).sigma_sq) * math.sqrt(model.d + model.n)
-    return NoiseNormCheck(estimate, bound, estimate <= bound)
+    return NoiseNormCheck(estimate, bound, estimate <= bound, source)
 
 
 @dataclass
@@ -371,12 +409,16 @@ class BoundRecord:
 
 @dataclass
 class BoundReport:
+    """Every record, plus per seed the fit's SVD driver and the noise norm's source."""
+
     records: List[BoundRecord]
     s_k_analytic: float
     s_k_empirical: float
     sigma_condition_met: bool
     trials: int = 0
     params: Optional[BoundParams] = field(default=None, repr=False)
+    fit_drivers: List[str] = field(default_factory=list)
+    noise_norm_sources: List[str] = field(default_factory=list)
 
     def record(self, bound: str, *clusters: int) -> BoundRecord:
         for rec in self.records:
@@ -388,16 +430,14 @@ class BoundReport:
     def total_violations(self) -> int:
         return sum(r.violations for r in self.records)
 
-    @property
-    def vacuous_records(self) -> int:
-        return sum(r.vacuous for r in self.records)
-
     def to_dict(self) -> dict:
         return {
             "s_k_analytic": self.s_k_analytic,
             "s_k_empirical": self.s_k_empirical,
             "sigma_condition_met": self.sigma_condition_met,
             "trials": self.trials,
+            "fit_drivers": self.fit_drivers,
+            "noise_norm_sources": self.noise_norm_sources,
             "records": [r.to_dict() for r in self.records],
         }
 
@@ -460,7 +500,10 @@ def verify_bounds(
     For each seed: generate the dataset, fit top-k' uncentered PCA,
     compute all pair distances, and compare each bound with the
     matching empirical extreme (worst pair); the noise-norm record
-    checks the same dataset's noise block. ``kprime`` defaults to the
+    checks the same dataset's noise block. The dataset's centered Gram
+    matrix is formed once per seed, and the fit (when ``auto`` would
+    otherwise run the randomized driver), the original pair distances
+    and the noise norm all read it. ``kprime`` defaults to the
     model's k. With ``use_empirical_sk`` the bounds are re-evaluated
     per seed using the instance's own k-th singular value; the reported
     analytic value is then the last seed's.
@@ -482,16 +525,18 @@ def verify_bounds(
             checks.append((name, clusters, bound, quantity, _Extremes(kind)))
     noise = _Extremes("upper")
 
-    sk_empirical = []
+    sk_empirical, drivers, sources = [], [], []
     for seed in seed_list:
         A = generate_dataset(model, seed)
-        P = fit_uncentered_pca(A, kprime, opts)
+        G, mean = centered_gram(A.values)
+        P = fit_uncentered_pca(A, kprime, opts, gram=(G, mean))
+        drivers.append(P.driver)
         sk_seed = float(P.singular_values[k - 1])
         sk_empirical.append(sk_seed)
         params = base
         if use_empirical_sk:
             params = BoundParams.from_model(model, C0=C0, s_k=sk_seed)
-        table = ClusterPairTable(pair_compression(A, P), extremes=True)
+        table = ClusterPairTable(pair_compression(A, P, gram=G), extremes=True)
         for _, clusters, bound, quantity, tracker in checks:
             cell = (clusters[0], clusters[-1])
             if not table.count[cell]:
@@ -502,7 +547,8 @@ def verify_bounds(
             # a smallest ratio of +inf means the cell has no finite ratio
             empirical = None if lower and worst == np.inf else worst
             tracker.update(b, empirical, vacuous=b is None or b <= 0.0)
-        check = _noise_norm_check(model, A, C0)
+        check = _noise_norm_check(model, A, C0, G, mean)
+        sources.append(check.source)
         noise.update(check.bound, check.estimate, vacuous=False)
 
     checks.append(("noise-norm", (), None, None, noise))
@@ -525,4 +571,6 @@ def verify_bounds(
         sigma_condition_met=base.sigma_condition_met,
         trials=len(seed_list),
         params=base,
+        fit_drivers=drivers,
+        noise_norm_sources=sources,
     )

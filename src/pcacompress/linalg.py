@@ -14,6 +14,15 @@ residual ``||A v_i - s_i u_i|| / s_1`` (Halko, Martinsson & Tropp 2011,
 sections 4.3-4.4) and, when a kept component misses ``RESIDUAL_RTOL``,
 refits with an exact Lanczos solve (``scipy.sparse.linalg.svds``) on the
 same implicit operator.
+
+A caller that already holds the n x n centered Gram matrix of the
+columns (as :func:`centered_gram` returns it) may hand it to an
+uncentered ``auto`` fit, which then runs the ``gram`` driver in place
+of the randomized one: the top k'+1 eigenpairs of the uncentered Gram
+matrix, derived from it, give V and S, and U = A V S^-1 (Halko,
+Martinsson & Tropp 2011, section 5.1). Its adjoint residual
+``||A^T u_i - s_i v_i|| / s_1`` certifies it against the same
+``RESIDUAL_RTOL``; a fit that misses it goes the randomized way above.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -41,6 +51,9 @@ RESIDUAL_RTOL = 1e-8
 # the exact dense driver; beyond it the exact driver works on the smaller
 # Gram matrix instead.
 _DENSIFY_BUDGET = 50_000_000
+
+# Entries per densified row block of :func:`centered_gram`.
+_GRAM_BLOCK_ENTRIES = 1 << 20
 
 
 class DataMatrix:
@@ -117,9 +130,11 @@ class SvdOptions:
     """Knobs for :func:`truncated_svd`.
 
     ``driver`` is ``auto`` (dense when ``min(d, n) <= dense_cutoff``,
-    otherwise randomized, certified by its residual and refit with exact
-    Lanczos when a kept component misses ``RESIDUAL_RTOL``), ``dense``,
-    or ``randomized`` (the range finder alone, unchecked). ``seed`` keys
+    otherwise the Gram driver when the caller supplies the Gram matrix,
+    else randomized; a Gram or randomized fit is certified by its
+    residuals and, when a kept component misses ``RESIDUAL_RTOL``, refit
+    by the next of randomized and exact Lanczos), ``dense``, or
+    ``randomized`` (the range finder alone, unchecked). ``seed`` keys
     both the range finder's sketch and the Lanczos start vector.
     """
 
@@ -143,7 +158,8 @@ class Projector:
     ``s_k' - s_{k'+1}``, is at most ``GAP_RTOL * s_1``, in which case the
     subspace is numerically ill-defined and reports should say so.
     ``driver`` names the SVD driver that produced a fit (``dense``,
-    ``randomized`` or ``lanczos``); it is None on a hand-built projector.
+    ``gram``, ``randomized`` or ``lanczos``); it is None on a hand-built
+    projector.
     """
 
     components: np.ndarray
@@ -272,6 +288,52 @@ def gram(M) -> np.ndarray:
     return M.T @ M
 
 
+def centered_gram(M):
+    """``(G, mean)``: the Gram matrix of M's mean-centered columns, and the mean column.
+
+    ``G = (M - mean 1^T)^T (M - mean 1^T)`` is summed over row blocks of
+    at most ``_GRAM_BLOCK_ENTRIES`` entries, each centered (and, for a
+    sparse M, densified) on its own, so no centered copy of M is held.
+    Centering first keeps a large shift shared by every column out of G,
+    where it would cancel in any distance or noise identity read off G.
+    """
+    sparse = sp.issparse(M)
+    d, n = M.shape
+    mean = np.asarray(M.mean(axis=1)).reshape(d)
+    # row slices of CSR are cheap, of CSC they cost a pass over all entries
+    R = sp.csr_array(M) if sparse else M
+    rows = max(1, _GRAM_BLOCK_ENTRIES // n)
+    G = np.zeros((n, n), order="F")
+    for r in range(0, d, rows):
+        block = R[r : r + rows].toarray() if sparse else R[r : r + rows]
+        block = np.subtract(block, mean[r : r + rows, None], order="F")
+        # G's upper triangle += block^T block, in place: no n x n temporary per block
+        G = scipy.linalg.blas.dsyrk(1.0, block, trans=1, beta=1.0, c=G, overwrite_c=True)
+    G += np.triu(G, 1).T
+    return G, mean
+
+
+def _gram_factors(op: _Operator, G: np.ndarray, top: Optional[int] = None):
+    """Singular triplets of op from its n x n Gram matrix G: all, or the ``top`` largest.
+
+    V and S come from the eigenpairs of G, and U = A V S^-1 for every
+    singular value above 1e-12 s_1; U is completed to orthonormal columns
+    past those. Squares the condition number, so the result is exact only
+    where the kept singular values are far from roundoff; callers either
+    reserve it for such spectra or certify it.
+    """
+    m = G.shape[0]
+    subset = None if top is None else [m - top, m - 1]
+    w, V = scipy.linalg.eigh(G, subset_by_index=subset)
+    order = np.argsort(w)[::-1]
+    s = np.sqrt(np.clip(w[order], 0.0, None))
+    V = V[:, order]
+    rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
+    U = op.matmat(V[:, :rank])
+    U /= s[:rank]
+    return _complete_orthonormal(U, op.shape[0], len(s), seed=17), s, V
+
+
 def _gram_svd(op: _Operator):
     """Exact factors via the smaller Gram matrix; avoids densifying the input.
 
@@ -286,14 +348,7 @@ def _gram_svd(op: _Operator):
         if c is not None:
             cross = np.asarray(A.T @ c).ravel()
             G = G - cross[:, None] - cross[None, :] + float(c @ c)
-        w, V = scipy.linalg.eigh(G)
-        order = np.argsort(w)[::-1]
-        s = np.sqrt(np.clip(w[order], 0.0, None))
-        V = V[:, order]
-        rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
-        U = op.matmat(V[:, :rank])
-        U /= s[:rank]
-        U = _complete_orthonormal(U, d, len(s), seed=17)
+        U, s, _ = _gram_factors(op, G)
         return U, s
     G = gram(A.T)
     if c is not None:
@@ -331,14 +386,14 @@ def _randomized_svd(op: _Operator, k: int, opts: SvdOptions):
     return Q @ Ub, s, Vbt.T
 
 
-def _certified(op: _Operator, U: np.ndarray, s: np.ndarray, V: np.ndarray, k: int) -> bool:
-    """Whether each of the first k triplets has ``||A v_i - s_i u_i|| <= RESIDUAL_RTOL * s_1``.
+def _certified(residual: np.ndarray, s: np.ndarray) -> bool:
+    """Whether every column of a residual block is within ``RESIDUAL_RTOL * s_1``.
 
-    The adjoint residual ``||A^T u_i - s_i v_i||`` is zero by construction
-    for range-finder output, so only the forward one certifies anything.
+    The block is ``A V - U S`` for range-finder output and ``A^T U - V S``
+    for Gram output, over the kept triplets; the other residual of each
+    is zero by construction, so it certifies nothing.
     """
-    R = op.matmat(V[:, :k]) - U[:, :k] * s[:k]
-    return bool(np.linalg.norm(R, axis=0).max() <= RESIDUAL_RTOL * s[0])
+    return bool(np.linalg.norm(residual, axis=0).max() <= RESIDUAL_RTOL * s[0])
 
 
 def _lanczos_svd(op: _Operator, k: int, seed: int):
@@ -362,7 +417,16 @@ def _lanczos_svd(op: _Operator, k: int, seed: int):
     return U[:, order], s[order]
 
 
-def _fit(A: DataMatrix, k: int, opts: Optional[SvdOptions], mean=None) -> Projector:
+def _uncentered_gram(M, G: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``M^T M`` from the centered Gram matrix G and mean column of :func:`centered_gram`.
+
+    With ``c = M^T mean``, ``M^T M = G + c 1^T + 1 c^T - ||mean||^2 1 1^T``.
+    """
+    cross = np.asarray(M.T @ mean).ravel()
+    return G + cross[:, None] + (cross - float(mean @ mean))[None, :]
+
+
+def _fit(A: DataMatrix, k: int, opts: Optional[SvdOptions], mean=None, gram=None) -> Projector:
     opts = opts or SvdOptions()
     d, n = A.d, A.n
     if not 1 <= k <= min(d, n):
@@ -371,9 +435,13 @@ def _fit(A: DataMatrix, k: int, opts: Optional[SvdOptions], mean=None) -> Projec
     driver = opts.driver
     if driver == "auto":
         driver = "dense" if min(d, n) <= opts.dense_cutoff else "randomized"
+        if driver == "randomized" and gram is not None:
+            U, s, V = _gram_factors(op, _uncentered_gram(A.values, *gram), min(k + 1, n))
+            if _certified(op.rmatmat(U[:, :k]) - V[:, :k] * s[:k], s):
+                driver = "gram"
     if driver == "randomized":
         U, s, V = _randomized_svd(op, k, opts)
-        if opts.driver == "auto" and not _certified(op, U, s, V, k):
+        if opts.driver == "auto" and not _certified(op.matmat(V[:, :k]) - U[:, :k] * s[:k], s):
             # ARPACK cannot return min(d, n) triplets; that case is
             # reachable only with zero oversampling, since otherwise the
             # sketch spans the whole range and is certified
@@ -395,14 +463,23 @@ def _fit(A: DataMatrix, k: int, opts: Optional[SvdOptions], mean=None) -> Projec
     )
 
 
-def truncated_svd(A: DataMatrix, k: int, opts: Optional[SvdOptions] = None) -> Projector:
-    """Top-k left singular vectors and singular values of A."""
-    return _fit(A, k, opts, mean=None)
+def truncated_svd(
+    A: DataMatrix, k: int, opts: Optional[SvdOptions] = None, gram=None
+) -> Projector:
+    """Top-k left singular vectors and singular values of A.
+
+    ``gram``, the ``(G, mean)`` pair :func:`centered_gram` returns for
+    ``A.values``, lets an ``auto`` fit that would otherwise be randomized
+    take the Gram driver instead; see the module docstring.
+    """
+    return _fit(A, k, opts, mean=None, gram=gram)
 
 
-def fit_uncentered_pca(A: DataMatrix, k: int, opts: Optional[SvdOptions] = None) -> Projector:
+def fit_uncentered_pca(
+    A: DataMatrix, k: int, opts: Optional[SvdOptions] = None, gram=None
+) -> Projector:
     """PCA without mean subtraction; identical to :func:`truncated_svd`."""
-    return truncated_svd(A, k, opts)
+    return truncated_svd(A, k, opts, gram)
 
 
 def fit_centered_pca(A: DataMatrix, k: int, opts: Optional[SvdOptions] = None) -> Projector:
@@ -449,10 +526,13 @@ def spectral_norm(M) -> float:
         if M.ndim != 2:
             raise InputError("spectral_norm expects a 2-dimensional matrix")
     d, n = M.shape
-    G = gram(M if n <= d else M.T)
+    return float(np.sqrt(max(top_eigenvalue(gram(M if n <= d else M.T)), 0.0)))
+
+
+def top_eigenvalue(G: np.ndarray) -> float:
+    """Largest eigenvalue of a dense symmetric matrix."""
     m = G.shape[0]
-    top = scipy.linalg.eigh(G, subset_by_index=[m - 1, m - 1], eigvals_only=True)[0]
-    return float(np.sqrt(max(top, 0.0)))
+    return float(scipy.linalg.eigh(G, subset_by_index=[m - 1, m - 1], eigvals_only=True)[0])
 
 
 def principal_angle(P: Projector, Q: Projector) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
-from .linalg import DataMatrix, Projector, gram, project_columns
+from .linalg import DataMatrix, Projector, centered_gram, gram, project_columns
 
 DEGENERATE_RTOL = 1e-12
 # allowed numerical overshoot of post over pre before it is an error
@@ -44,21 +44,11 @@ _CHUNK_PAIRS = 1 << 16
 PairPolicy = Union[str, Tuple[str, int, int]]
 
 
-@dataclass
-class PairStats:
-    pair: Tuple[int, int]
-    pre_dist: float
-    post_dist: float
-    ratio: Optional[float]
-    same_cluster: Optional[bool]
-
-
 class PairSet:
     """All computed pair distances, column-vectorized.
 
-    Behaves as a sequence of :class:`PairStats` but keeps everything in
-    flat arrays (``i``, ``j``, ``pre``, ``post``, ``ratio`` with NaN for
-    absent, ``degenerate`` mask, ``same`` mask or None).
+    Flat arrays ``i``, ``j``, ``pre``, ``post``, ``ratio`` (NaN for
+    absent), the ``degenerate`` mask, and the ``same`` mask or None.
     """
 
     def __init__(self, i, j, pre, post, labels=None):
@@ -76,16 +66,6 @@ class PairSet:
 
     def __len__(self) -> int:
         return len(self.pre)
-
-    def __iter__(self) -> Iterator[PairStats]:
-        for t in range(len(self)):
-            yield PairStats(
-                pair=(int(self.i[t]), int(self.j[t])),
-                pre_dist=float(self.pre[t]),
-                post_dist=float(self.post[t]),
-                ratio=None if self.degenerate[t] else float(self.ratio[t]),
-                same_cluster=None if self.same is None else bool(self.same[t]),
-            )
 
 
 def _triangular_decode(index: np.ndarray, n: int):
@@ -115,32 +95,27 @@ def _pair_indices(n: int, pair_policy: PairPolicy):
     raise InputError(f"unknown pair policy {pair_policy!r}")
 
 
-def _pair_distances(M, i: np.ndarray, j: np.ndarray, all_pairs: bool) -> np.ndarray:
+def _pair_distances(
+    M, i: np.ndarray, j: np.ndarray, all_pairs: bool, G: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Distances between columns ``i[t]`` and ``j[t]`` of a dense or sparse M.
 
     With ``all_pairs`` (i, j) hold every column pair, and a pair's squared
     distance comes from the Gram matrix unless it is at or below
-    ``GRAM_RECOMPUTE_RTOL * (g_i + g_j)``. A dense M, or a sparse one with
-    at least ``DENSE_GRAM_DENSITY`` of its entries stored, is centered
-    first, in row blocks densified one at a time: distances ignore a shift
-    shared by every column, and such a shift would otherwise cancel in the
-    Gram identity. A sparser M keeps the sparse Gram product. Every other
-    distance is a direct difference, taken over blocks of bounded size.
+    ``GRAM_RECOMPUTE_RTOL * (g_i + g_j)``. That Gram matrix is the
+    caller's G (of the columns after any shift they all share), else the
+    one of the mean-centered columns (:func:`centered_gram`) for a dense
+    M or a sparse one with at least ``DENSE_GRAM_DENSITY`` of its entries
+    stored: distances ignore a shared shift, and such a shift would
+    otherwise cancel in the Gram identity. A sparser M keeps the sparse
+    Gram product. Every other distance is a direct difference, taken over
+    blocks of bounded size.
     """
     sparse = sp.issparse(M)
     if all_pairs:
         d, n = M.shape
-        if sparse and M.nnz < DENSE_GRAM_DENSITY * d * n:
-            G = gram(M)
-        else:
-            mean = np.asarray(M.mean(axis=1)).reshape(d, 1)
-            # row slices of CSR are cheap, of CSC they cost a pass over all entries
-            R = sp.csr_array(M) if sparse else M
-            rows = max(1, _BLOCK_ENTRIES // n)
-            G = np.zeros((n, n))
-            for r in range(0, d, rows):
-                block = R[r : r + rows].toarray() if sparse else R[r : r + rows]
-                G += gram(block - mean[r : r + rows])
+        if G is None:
+            G = gram(M) if sparse and M.nnz < DENSE_GRAM_DENSITY * d * n else centered_gram(M)[0]
         g = np.diag(G).copy()
         scale = g[i] + g[j]
         sq = scale - 2.0 * G[i, j]
@@ -159,11 +134,17 @@ def _pair_distances(M, i: np.ndarray, j: np.ndarray, all_pairs: bool) -> np.ndar
     return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
 
 
-def _pair_sets(A: DataMatrix, projectors, pair_policy: PairPolicy) -> Iterator[PairSet]:
-    """The policy's pairs under each projector, original distances computed once."""
+def _pair_sets(
+    A: DataMatrix, projectors, pair_policy: PairPolicy, G: Optional[np.ndarray] = None
+) -> Iterator[PairSet]:
+    """The policy's pairs under each projector, original distances computed once.
+
+    G, when given, is the Gram matrix the exact original distances read
+    (see :func:`_pair_distances`).
+    """
     i, j = _pair_indices(A.n, pair_policy)
     all_pairs = pair_policy == "exact"
-    pre = _pair_distances(A.values, i, j, all_pairs)
+    pre = _pair_distances(A.values, i, j, all_pairs, G)
     for P in projectors:
         post = _pair_distances(project_columns(P, A), i, j, all_pairs)
         if np.any(post > pre * (1.0 + _CONTRACTION_RTOL)):
@@ -175,16 +156,21 @@ def _pair_sets(A: DataMatrix, projectors, pair_policy: PairPolicy) -> Iterator[P
         yield PairSet(i, j, pre, np.minimum(post, pre, out=post), labels=A.labels)
 
 
-def pair_compression(A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exact") -> PairSet:
+def pair_compression(
+    A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exact", gram=None
+) -> PairSet:
     """Distances and compression ratios for all (or sampled) column pairs.
 
     ``pair_policy`` is ``"exact"`` or ``("sampled", m, seed)`` for a
     uniform sample of m unordered pairs. Columns are projected once;
-    projected distances are computed in k' dimensions.
+    projected distances are computed in k' dimensions. ``gram``, the
+    centered Gram matrix of ``A.values`` from
+    :func:`~pcacompress.linalg.centered_gram`, spares the exact policy
+    forming it again.
     """
     if A.d != P.d:
         raise InputError(f"matrix has d={A.d}, projector wants {P.d}")
-    return next(_pair_sets(A, [P], pair_policy))
+    return next(_pair_sets(A, [P], pair_policy, gram))
 
 
 def _require_labels(pairs: PairSet, labels, what: str) -> np.ndarray:

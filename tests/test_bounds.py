@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+import scipy.linalg
+
+from pcacompress import bounds, linalg, metrics
 from pcacompress.bounds import (
+    NOISE_GRAM_RTOL,
     BoundParams,
     C0Calibration,
     calibrate_c0,
@@ -24,7 +28,7 @@ from pcacompress.bounds import (
     verify_bounds,
 )
 from pcacompress.errors import InputError
-from pcacompress.linalg import fit_uncentered_pca
+from pcacompress.linalg import SvdOptions, fit_uncentered_pca
 from pcacompress.models import (
     NoiseSpec,
     RandomVectorModel,
@@ -394,6 +398,49 @@ class TestNoiseNorm:
             assert 1.6 <= ratio <= 2.4, f"seed {seed}: ratio {ratio}"
 
 
+def three_cluster_model(family, scale):
+    """Three unequal clusters with continuous noise, so no sum is exact in floating point."""
+    centers = 0.3 + 0.4 * np.random.default_rng(5).random((3, 300))
+    return RandomVectorModel(centers, [20, 35, 50], [NoiseSpec(family, scale)] * 3)
+
+
+class TestDerivedNoiseGram:
+    """The noise norm read off the centered Gram matrix, and its direct fallback."""
+
+    # the middle two scales of each family put the estimated relative
+    # error eps * max diag(G) / lambda_top within a factor 2.5 to 5 of
+    # NOISE_GRAM_RTOL, one on each side
+    @pytest.mark.parametrize(
+        "family, scale, source",
+        [
+            ("uniform-symmetric", 0.2, "gram"),
+            ("uniform-symmetric", 0.03, "gram"),
+            ("uniform-symmetric", 0.01, "direct"),
+            ("uniform-symmetric", 1e-7, "direct"),
+            ("truncated-gaussian", 0.2, "gram"),
+            ("truncated-gaussian", 0.02, "gram"),
+            ("truncated-gaussian", 0.005, "direct"),
+            ("truncated-gaussian", 1e-7, "direct"),
+        ],
+    )
+    def test_matches_two_norm_of_noise_block(self, family, scale, source):
+        model = three_cluster_model(family, scale)
+        A = generate_dataset(model, seed=2)
+        oracle = np.linalg.norm(A.values - model.mean_matrix(), 2)
+        check = noise_norm_check(model, seed=2)
+        assert check.source == source
+        assert abs(check.estimate - oracle) <= 1e-12 * oracle
+        G, _ = linalg.centered_gram(A.values)
+        estimated_error = np.finfo(float).eps * np.diag(G).max() / oracle**2
+        assert (estimated_error <= NOISE_GRAM_RTOL) == (source == "gram")
+
+    def test_noiseless_model_gives_exactly_zero(self):
+        model = sbm_rectangular(60, [20, 30, 10], p=1.0, q=0.0)
+        check = noise_norm_check(model, seed=0)
+        assert check.estimate == 0.0
+        assert check.source == "direct"
+
+
 class TestCalibration:
     def test_fits_smallest_passing_constant(self):
         model = sbm_rectangular(150, [75, 75], p=0.7, q=0.3)
@@ -531,3 +578,83 @@ class TestVerifyBounds:
             verify_bounds(model, seeds=2, kprime=1)
         with pytest.raises(InputError):
             verify_bounds(model, seeds=[])
+
+
+class TestOneGramPerSeed:
+    """verify_bounds forms one centered Gram matrix per seed and reads everything off it."""
+
+    # n = 45 lies above dense_cutoff = 20, where auto would otherwise
+    # run the randomized fit
+    MODEL = dict(d=600, sizes=[12, 15, 18], p=0.7, q=0.3)
+    OPTS = SvdOptions(dense_cutoff=20)
+
+    def count_calls(self, monkeypatch):
+        """Counts Gram products of a d-row draw (not of the projection) and randomized fits."""
+        calls = {"gram": 0, "randomized": 0}
+        real_gram, real_randomized = linalg.centered_gram, linalg._randomized_svd
+
+        def gram(M):
+            calls["gram"] += M.shape[0] == self.MODEL["d"]
+            return real_gram(M)
+
+        def randomized(*args):
+            calls["randomized"] += 1
+            return real_randomized(*args)
+
+        for module in (linalg, metrics, bounds):
+            monkeypatch.setattr(module, "centered_gram", gram)
+        monkeypatch.setattr(linalg, "_randomized_svd", randomized)
+        return calls
+
+    def test_one_gram_product_and_no_randomized_fit_per_seed(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        model = sbm_rectangular(**self.MODEL)
+        report = verify_bounds(model, seeds=[3, 4], kprime=4, opts=self.OPTS)
+        assert calls == {"gram": 2, "randomized": 0}
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert doc["fit_drivers"] == ["gram", "gram"]
+        assert doc["noise_norm_sources"] == ["gram", "gram"]
+
+    def test_explicit_driver_still_runs_the_randomized_fit(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        report = verify_bounds(
+            sbm_rectangular(**self.MODEL), seeds=[3, 4], kprime=4,
+            opts=SvdOptions(driver="randomized"),
+        )
+        assert calls == {"gram": 2, "randomized": 2}
+        assert report.fit_drivers == ["randomized", "randomized"]
+
+    def test_empirical_extremes_match_dense_svd_oracle(self):
+        model = sbm_rectangular(**self.MODEL)
+        seeds, kprime = [3, 4], 4
+        report = verify_bounds(model, seeds=seeds, kprime=kprime, opts=self.OPTS)
+        assert report.fit_drivers == ["gram", "gram"]
+        worst = {}
+
+        def merge(key, value, pick):
+            worst[key] = value if key not in worst else pick(worst[key], value)
+
+        for seed in seeds:
+            A = generate_dataset(model, seed)
+            U = scipy.linalg.svd(A.values, full_matrices=False)[0][:, :kprime]
+            pre, post = pdist(A.values.T), pdist((U.T @ A.values).T)
+            i, j = np.triu_indices(A.n, k=1)
+            a = np.minimum(A.labels[i], A.labels[j])
+            b = np.maximum(A.labels[i], A.labels[j])
+            for cell in set(zip(a.tolist(), b.tolist())):
+                mask = (a == cell[0]) & (b == cell[1])
+                p, q = pre[mask], post[mask]
+                if cell[0] == cell[1]:
+                    clusters = cell[:1]
+                    merge(("pre-intra-lower", clusters), p.min(), min)
+                    merge(("post-intra-upper", clusters), q.max(), max)
+                    merge(("intra-ratio-lower", clusters), (p / q).min(), min)
+                else:
+                    merge(("pre-inter-upper", cell), p.max(), max)
+                    merge(("post-inter-lower", cell), q.min(), min)
+                    merge(("inter-ratio-upper", cell), (p / q).max(), max)
+            noise = np.linalg.norm(A.values - model.mean_matrix(), 2)
+            merge(("noise-norm", ()), noise, max)
+        assert len(report.records) == len(worst)
+        for rec in report.records:
+            np.testing.assert_allclose(rec.empirical, worst[(rec.bound, rec.clusters)], rtol=1e-10)

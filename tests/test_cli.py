@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +382,24 @@ class TestOtherCommands:
         assert printed == doc["c0"]
         assert len(doc["ratios"]) == 4
         np.testing.assert_array_less(doc["ratios"], doc["c0"])
+
+
+class TestReadmeRoundTrip:
+    def test_typical_round_trip_runs_as_written(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"A typical round trip:\n\n```\n(.*?)```", readme, flags=re.S).group(1)
+        model, script = re.fullmatch(
+            r"cat > model\.json <<'EOF'\n(.*?)EOF\n(.*)", block, flags=re.S
+        ).groups()
+        commands = [shlex.split(line) for line in script.replace("\\\n", " ").splitlines()]
+        assert [c[:2] for c in commands] == [
+            ["pcacompress", "simulate"],
+            ["pcacompress", "analyze"],
+        ]
+        monkeypatch.chdir(tmp_path)
+        Path("model.json").write_text(model, encoding="utf-8")
+        for command in commands:
+            assert cli.main(command[1:]) == 0, command
+        # one header line, then one row per cluster and one per curve point
+        assert len(Path("results/compression.tsv").read_text().splitlines()) == 1 + 4
+        assert len(Path("results/curve.csv").read_text().splitlines()) == 1 + 100

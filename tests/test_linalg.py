@@ -161,6 +161,53 @@ class TestGramSvd:
         assert la.principal_angle(P, la.Projector(U[:, :4].T, s[:4])) <= 1e-8
 
 
+class TestGramFit:
+    """The uncentered ``auto`` fit read off a caller's centered Gram matrix."""
+
+    def test_matches_dense_oracle_when_d_far_above_n(self):
+        M = spiked_matrix(1500, 120, rank=3, noise=1e-2, seed=8) + 5.0
+        A = la.DataMatrix(M)
+        opts = la.SvdOptions(dense_cutoff=100)
+        P = la.fit_uncentered_pca(A, 3, opts, gram=la.centered_gram(M))
+        assert P.driver == "gram"
+        U, s, _ = scipy.linalg.svd(M, full_matrices=False)
+        np.testing.assert_allclose(P.singular_values, s[:3], rtol=1e-10)
+        assert la.principal_angle(P, la.Projector(U[:, :3].T, s[:3])) <= 1e-8
+        assert not P.gap_warning
+        without = la.fit_uncentered_pca(A, 3, opts)
+        assert without.driver == "randomized"
+        assert la.principal_angle(P, without) <= 1e-8
+
+    def test_centered_gram_matches_explicit_centering(self):
+        M = np.random.default_rng(9).random((700, 40)) + 100.0
+        G, mean = la.centered_gram(M)
+        C = M - M.mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(mean, M.mean(axis=1), rtol=1e-15)
+        np.testing.assert_allclose(G, C.T @ C, rtol=1e-12, atol=1e-12 * np.abs(C.T @ C).max())
+        G_sparse, _ = la.centered_gram(sp.csc_array(M))
+        np.testing.assert_allclose(G_sparse, G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
+
+    def test_explicit_driver_ignores_the_gram_matrix(self):
+        M = spiked_matrix(400, 60, rank=2, noise=1e-3, seed=10)
+        A = la.DataMatrix(M)
+        gram = la.centered_gram(M)
+        for driver in ("randomized", "dense"):
+            opts = la.SvdOptions(driver=driver, dense_cutoff=10)
+            P = la.fit_uncentered_pca(A, 2, opts, gram=gram)
+            assert P.driver == driver
+
+    def test_uncertified_gram_fit_falls_back(self):
+        # a Gram matrix that is not A's own gives factors whose adjoint
+        # residual is far off, so auto refits without it
+        M = spiked_matrix(400, 60, rank=2, noise=1e-3, seed=11)
+        A = la.DataMatrix(M)
+        G, mean = la.centered_gram(M)
+        P = la.fit_uncentered_pca(A, 2, la.SvdOptions(dense_cutoff=10), gram=(G * 1.01, mean))
+        assert P.driver == "randomized"
+        s = scipy.linalg.svd(M, compute_uv=False)
+        np.testing.assert_allclose(P.singular_values, s[:2], rtol=1e-8)
+
+
 class TestPcaFits:
     def test_uncentered_delegates_bit_for_bit(self):
         M = spiked_matrix(60, 45, rank=5, noise=1e-2, seed=3)

@@ -58,13 +58,12 @@ class TestPairCompression:
         X = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.5, 0.5, 3.0]])
         A = DataMatrix(X)
         P = fit_uncentered_pca(A, 2)
-        stats = list(pair_compression(A, P))
-        first = stats[0]
-        assert first.pair == (0, 1)
-        assert first.pre_dist == 0.0
-        assert first.post_dist == 0.0
-        assert first.ratio is None
-        assert stats[1].ratio is not None
+        pairs = pair_compression(A, P)
+        assert (pairs.i[0], pairs.j[0]) == (0, 1)
+        assert pairs.pre[0] == 0.0
+        assert pairs.post[0] == 0.0
+        assert pairs.degenerate[0] and np.isnan(pairs.ratio[0])
+        assert not pairs.degenerate[1] and np.isfinite(pairs.ratio[1])
 
     def test_full_rank_projection_is_isometry(self):
         rng = np.random.default_rng(3)
