@@ -32,7 +32,7 @@ from .linalg import (
     spectral_norm,
     top_eigenvalue,
 )
-from .metrics import ClusterPairTable, extra_pc_split, pair_compression
+from .metrics import ClusterPairTable, PairStream, extra_pc_split, reduce_pairs
 from .models import RandomVectorModel, generate_dataset, model_stats
 
 
@@ -536,7 +536,8 @@ def verify_bounds(
         params = base
         if use_empirical_sk:
             params = BoundParams.from_model(model, C0=C0, s_k=sk_seed)
-        table = ClusterPairTable(pair_compression(A, P, gram=G), extremes=True)
+        table = ClusterPairTable(A.labels, extremes=True)
+        reduce_pairs(PairStream(A, P, gram=G), table)
         for _, clusters, bound, quantity, tracker in checks:
             cell = (clusters[0], clusters[-1])
             if not table.count[cell]:

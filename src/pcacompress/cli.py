@@ -214,6 +214,16 @@ def _pair_policy(args):
     return ("sampled", sample, args.seed)
 
 
+def _pair_fields(args, pair_count, recomputed) -> dict:
+    """The pair policy and what a pass under it counted, for a report."""
+    policy = _pair_policy(args)
+    return {
+        "pair_policy": policy if policy == "exact" else {"sampled": policy[1], "seed": policy[2]},
+        "pair_count": int(pair_count),
+        "recomputed_pairs": int(recomputed),
+    }
+
+
 def _cluster_name(names, cluster: int) -> str:
     return names[cluster] if cluster < len(names) else f"C{cluster + 1}"
 
@@ -254,20 +264,35 @@ def _summary_rows(summary, names) -> list:
 
 
 def cmd_analyze(args) -> None:
+    import numpy as np
+
     from .linalg import SvdOptions, fit_centered_pca, fit_uncentered_pca
     from .metrics import (
         ClusterPairTable,
+        CurveHistogram,
+        PairStream,
+        PointSums,
         cluster_summary,
         intra_fraction_curve,
-        pair_compression,
         pointwise_summary,
+        reduce_pairs,
     )
 
     kprime = _require_pcs(args)
     A, names = _ingest(args)
     fit = fit_centered_pca if args.centered else fit_uncentered_pca
     P = fit(A, kprime, SvdOptions(seed=args.seed))
-    pairs = pair_compression(A, P, _pair_policy(args))
+    pairs = PairStream(A, P, _pair_policy(args))
+    # one pass fills every sink; only the curve's cut bins take a second
+    if A.labels is None:
+        # one cluster holding every point: its single cell is every pair
+        table = ClusterPairTable(np.zeros(A.n, dtype=np.int64))
+        reduce_pairs(pairs, table)
+    else:
+        table, point_sums, histogram = (
+            sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)
+        )
+        reduce_pairs(pairs, table, point_sums, histogram)
     out = _out_dir(args)
 
     doc = {
@@ -276,12 +301,12 @@ def cmd_analyze(args) -> None:
         "singular_values": P.singular_values.tolist(),
         "gap_warning": P.gap_warning,
         "svd_driver": P.driver,
-        "pair_count": len(pairs),
+        **_pair_fields(args, table.count.sum(), table.recomputed),
     }
     if A.labels is not None:
-        summary = cluster_summary(pairs)
-        points = pointwise_summary(pairs)
-        curve = intra_fraction_curve(pairs)
+        summary = cluster_summary(table)
+        points = pointwise_summary(point_sums)
+        curve = intra_fraction_curve(pairs, histogram=histogram)
         doc["clusters"] = _summary_doc(summary, names)
         doc["points"] = [dataclasses.asdict(p) for p in points]
         _write_curve_csv(out / "curve.csv", curve)
@@ -296,8 +321,7 @@ def cmd_analyze(args) -> None:
                 ],
             )
     else:
-        # one cluster holding every point: its single cell is every pair
-        overall = ClusterPairTable(pairs, [0] * A.n).group(0)
+        overall = table.group(0)
         keys = ("pre_avg", "post_avg", "ratio_avg", "excluded")
         doc["overall"] = {key: getattr(overall, key) for key in keys}
     if args.format == "json":
@@ -423,10 +447,12 @@ def cmd_sweep_pcs(args) -> None:
         raise InputError("--grid values must be positive")
 
     full = fit_uncentered_pca(A, grid[-1], SvdOptions(seed=args.seed))
-    results = pcs_sweep(A, full, grid, _pair_policy(args))
+    sweep = pcs_sweep(A, full, grid, _pair_policy(args))
+    results = sweep.rows
     out = _out_dir(args)
     if args.format == "json":
-        _write_json(out / "sweep.json", {"grid": results})
+        doc = {"grid": results, **_pair_fields(args, sweep.pair_count, sweep.recomputed)}
+        _write_json(out / "sweep.json", doc)
     else:
         _write_tsv(
             out / "sweep.tsv",

@@ -52,7 +52,7 @@ RESIDUAL_RTOL = 1e-8
 # Gram matrix instead.
 _DENSIFY_BUDGET = 50_000_000
 
-# Entries per densified row block of :func:`centered_gram`.
+# Entries per densified row block of :func:`centered_row_blocks`.
 _GRAM_BLOCK_ENTRIES = 1 << 20
 
 
@@ -288,25 +288,50 @@ def gram(M) -> np.ndarray:
     return M.T @ M
 
 
+def row_sliceable(M):
+    """``(R, mean)``: M as a dense or CSR array, whose row slices are cheap, and M's mean column."""
+    sparse = sp.issparse(M)
+    # row slices of CSR are cheap, of CSC they cost a pass over all entries
+    R = sp.csr_array(M) if sparse and M.format != "csr" else M
+    return R, np.asarray(M.mean(axis=1)).reshape(M.shape[0])
+
+
+def centered_row_blocks(R, mean, start: int = 0, rows: Optional[int] = None):
+    """Columns ``start:`` of a dense or sparse R in centered, dense row blocks.
+
+    Blocks are F-ordered, of ``rows`` rows (by default as many as keep a
+    block within ``_GRAM_BLOCK_ENTRIES`` entries), each centered by
+    ``mean`` (and, for a sparse R, densified) on its own, so no centered
+    copy of R is held. Pass R through :func:`row_sliceable` when it
+    spans more than one block.
+    """
+    d, n = R.shape
+    rows = max(1, _GRAM_BLOCK_ENTRIES // (n - start)) if rows is None else rows
+    for r in range(0, d, rows):
+        block = R[r : r + rows, start:]
+        if sp.issparse(block):
+            # C-ordered from CSR, F-ordered from CSC: neither converts formats
+            block = block.toarray()
+            if block.flags.f_contiguous:
+                # centered in place: one dense copy per block
+                block -= mean[r : r + rows, None]
+                yield block
+                continue
+        yield np.subtract(block, mean[r : r + rows, None], order="F")
+
+
 def centered_gram(M):
     """``(G, mean)``: the Gram matrix of M's mean-centered columns, and the mean column.
 
-    ``G = (M - mean 1^T)^T (M - mean 1^T)`` is summed over row blocks of
-    at most ``_GRAM_BLOCK_ENTRIES`` entries, each centered (and, for a
-    sparse M, densified) on its own, so no centered copy of M is held.
-    Centering first keeps a large shift shared by every column out of G,
-    where it would cancel in any distance or noise identity read off G.
+    ``G = (M - mean 1^T)^T (M - mean 1^T)`` is summed over the row blocks
+    of :func:`centered_row_blocks`. Centering first keeps a large shift
+    shared by every column out of G, where it would cancel in any
+    distance or noise identity read off G.
     """
-    sparse = sp.issparse(M)
-    d, n = M.shape
-    mean = np.asarray(M.mean(axis=1)).reshape(d)
-    # row slices of CSR are cheap, of CSC they cost a pass over all entries
-    R = sp.csr_array(M) if sparse else M
-    rows = max(1, _GRAM_BLOCK_ENTRIES // n)
+    n = M.shape[1]
+    R, mean = row_sliceable(M)
     G = np.zeros((n, n), order="F")
-    for r in range(0, d, rows):
-        block = R[r : r + rows].toarray() if sparse else R[r : r + rows]
-        block = np.subtract(block, mean[r : r + rows, None], order="F")
+    for block in centered_row_blocks(R, mean):
         # G's upper triangle += block^T block, in place: no n x n temporary per block
         G = scipy.linalg.blas.dsyrk(1.0, block, trans=1, beta=1.0, c=G, overwrite_c=True)
     G += np.triu(G, 1).T

@@ -592,17 +592,24 @@ class TestOneGramPerSeed:
         """Counts Gram products of a d-row draw (not of the projection) and randomized fits."""
         calls = {"gram": 0, "randomized": 0}
         real_gram, real_randomized = linalg.centered_gram, linalg._randomized_svd
+        real_rows = metrics._gram_rows
 
         def gram(M):
             calls["gram"] += M.shape[0] == self.MODEL["d"]
             return real_gram(M)
 
+        def rows(M, G=None):
+            # the pair engine's own Gram tiles, formed only without a caller's G
+            calls["gram"] += G is None and M.shape[0] == self.MODEL["d"]
+            return real_rows(M, G)
+
         def randomized(*args):
             calls["randomized"] += 1
             return real_randomized(*args)
 
-        for module in (linalg, metrics, bounds):
+        for module in (linalg, bounds):
             monkeypatch.setattr(module, "centered_gram", gram)
+        monkeypatch.setattr(metrics, "_gram_rows", rows)
         monkeypatch.setattr(linalg, "_randomized_svd", randomized)
         return calls
 

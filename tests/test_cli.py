@@ -224,6 +224,8 @@ class TestAnalyzeOutputs:
         doc = json.loads((out / "analysis.json").read_text())
         assert doc["overall"]["pre_avg"] > doc["overall"]["post_avg"]
         assert "clusters" not in doc
+        assert doc["pair_count"] == 24 * 23 // 2
+        assert doc["pair_policy"] == "exact"
 
     def test_sampled_pairs_subset_of_exact(self, dataset, tmp_path):
         matrix, labels = dataset
@@ -245,6 +247,33 @@ class TestAnalyzeOutputs:
         assert outs["exact"]["pair_count"] == 24 * 23 // 2
         assert outs["sampled"]["pair_count"] == 50
         assert outs["exact"]["svd_driver"] == "dense"
+        assert outs["exact"]["pair_policy"] == "exact"
+        assert outs["sampled"]["pair_policy"] == {"sampled": 50, "seed": 0}
+        # sampled pairs are all direct differences: none is a recompute
+        assert outs["exact"]["recomputed_pairs"] == 0
+        assert outs["sampled"]["recomputed_pairs"] == 0
+
+    def test_recomputed_pairs_counts_gram_cancellation(self, tmp_path):
+        # columns 0-3 sit at offset 1000 with spread 1e-6, columns 4-9 in
+        # [0, 1]; the mean column lies some 400 from either group, so the
+        # centered Gram identity cancels for the 6 + 15 pairs inside a group
+        # and only the 24 cross pairs keep it
+        rng = np.random.default_rng(2)
+        X = np.hstack([1000.0 + 1e-6 * rng.standard_normal((5, 4)), rng.uniform(size=(5, 6))])
+        matrix = tmp_path / "offset.csv"
+        np.savetxt(matrix, X, delimiter=",")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{'ab'[c >= 4]}\n" for c in range(10)))
+        out = tmp_path / "out"
+        args = ["--matrix", str(matrix), "--labels", str(labels), "--out-dir", str(out)]
+        assert cli.main(["analyze", *args, "--pcs", "2"]) == 0
+        assert cli.main(["sweep-pcs", *args, "--grid", "1,2"]) == 0
+        analysis = json.loads((out / "analysis.json").read_text())
+        sweep = json.loads((out / "sweep.json").read_text())
+        for doc in (analysis, sweep):
+            assert doc["pair_policy"] == "exact"
+            assert doc["pair_count"] == 45
+            assert doc["recomputed_pairs"] == 21
 
 
 class TestRoundTripOracle:
@@ -355,6 +384,9 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads((out / "sweep.json").read_text())
         assert [r["pcs"] for r in doc["grid"]] == [2, 5]
+        assert doc["pair_policy"] == "exact"
+        assert doc["pair_count"] == 24 * 23 // 2
+        assert doc["recomputed_pairs"] == 0
         for r in doc["grid"]:
             assert r["gap"] == r["intra_ratio_avg"] / r["inter_ratio_avg"]
 

@@ -8,20 +8,27 @@ import pytest
 import scipy.sparse as sp
 import scipy.stats
 
+from pcacompress import metrics
 from pcacompress.errors import InputError
-from pcacompress.linalg import DataMatrix, fit_uncentered_pca
+from pcacompress.linalg import DataMatrix, Projector, fit_uncentered_pca
 from pcacompress.metrics import (
     DENSE_GRAM_DENSITY,
     GRAM_RECOMPUTE_RTOL,
+    ClusterPairTable,
+    CurveHistogram,
     CurvePoint,
     PairSet,
+    PairStream,
+    PointSums,
     centering_comparison,
     cluster_summary,
     default_curve_grid,
     extra_pc_split,
     intra_fraction_curve,
     pair_compression,
+    pcs_sweep,
     pointwise_summary,
+    reduce_pairs,
     _triangular_decode,
 )
 from pcacompress.models import NoiseSpec, RandomVectorModel, generate_dataset, sbm_rectangular
@@ -467,3 +474,225 @@ class TestExtraPcSplit:
         split = extra_pc_split(A, fit_uncentered_pca(A, 3), 1)
         assert split.same is not None
         assert split.same.sum() > 0
+
+
+def _oracle(A, P, widths, grid):
+    """Table cells, point means, curve and sweep from per-pair direct differences."""
+    X = A.values.toarray() if sp.issparse(A.values) else A.values
+    Y = P.components @ X
+    labels = np.zeros(A.n, dtype=int) if A.labels is None else A.labels
+    i, j = np.triu_indices(A.n, k=1)
+    pre = np.array([np.linalg.norm(X[:, a] - X[:, b]) for a, b in zip(i, j)])
+    posts = {}
+    for w in widths:
+        post = np.array([np.linalg.norm(Y[:w, a] - Y[:w, b]) for a, b in zip(i, j)])
+        posts[w] = np.minimum(post, pre)
+    post = posts[widths[-1]]
+    degenerate = post <= 1e-12 * pre
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(degenerate, np.nan, pre / post)
+    same = labels[i] == labels[j]
+
+    def group(mask):
+        if not mask.any():
+            return None
+        fin = mask & ~degenerate
+        ratio_avg = ratio[fin].mean() if fin.any() else None
+        return (int(mask.sum()), int((mask & degenerate).sum()), pre[mask].mean(),
+                post[mask].mean(), ratio_avg)
+
+    clusters = {}
+    for c in range(labels.max() + 1):
+        touches = (labels[i] == c) | (labels[j] == c)
+        clusters[c] = (group(touches & same), group(touches & ~same))
+    points = []
+    for u in range(A.n):
+        mine = ((i == u) | (j == u)) & ~degenerate
+        points.append(tuple(ratio[mine & s].mean() if (mine & s).any() else None
+                            for s in (same, ~same)))
+    key = np.where(degenerate, np.inf, ratio)
+    order = sorted(range(len(key)), key=lambda t: (-key[t], t))
+    ranked = same[order]
+    curve = []
+    for x in grid:
+        top = min(len(key), max(1, int(np.ceil(x * len(key) - 1e-9))))
+        curve.append(ranked[:top].sum() / top)
+    sweep = []
+    for w in widths:
+        fin = posts[w] > 1e-12 * pre
+        r = pre[fin] / posts[w][fin]
+        sweep.append(tuple(r[s].mean() if s.any() else None for s in (same[fin], ~same[fin])))
+    return {"clusters": clusters, "points": points, "curve": curve, "sweep": sweep,
+            "overall": group(np.ones(len(pre), dtype=bool))}
+
+
+def _groups(summary):
+    def cells(g):
+        return None if g is None else (
+            g.pair_count, g.excluded, g.pre_avg, g.post_avg, g.ratio_avg
+        )
+    return {row.cluster: (cells(row.intra), cells(row.inter)) for row in summary.rows}
+
+
+def _assert_same(got, want, rtol=1e-12):
+    """Equal structure; integers and None equal, floats to rtol."""
+    if isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w, rtol)
+    elif isinstance(want, dict):
+        assert set(got) == set(want)
+        for k in want:
+            _assert_same(got[k], want[k], rtol)
+    elif want is None or isinstance(want, (int, np.integer)):
+        assert got == want
+    else:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
+def _tile_case(name):
+    """(A, P) for one tile-boundary case; n = 32 keeps every column mean dyadic."""
+    rng = np.random.default_rng(17)
+    n = 32
+    labels = (np.arange(n) * 7) % 3
+    if name in ("ties", "unlabeled"):
+        # 0/1 entries under a coordinate projector: exact Gram arithmetic and
+        # many pairs with bitwise equal ratios, degenerate ones included
+        X = rng.integers(0, 2, size=(6, n)).astype(float)
+        A = DataMatrix(X, labels=None if name == "unlabeled" else labels)
+        return A, Projector(np.eye(6)[:2], [2.0, 1.0])
+    if name == "duplicates":
+        X = rng.uniform(size=(8, n))
+        X[:, 9] = X[:, 8]  # a pair across the edge between 3-row tiles
+        X[:, 20] = X[:, 2]
+    elif name == "offset":
+        # a tight cluster far from the mean: its pairs take the recompute path
+        X = np.hstack([1000.0 + 1e-3 * rng.standard_normal((30, 16)), rng.uniform(size=(30, 16))])
+    elif name == "sparse-above":
+        X = rng.uniform(size=(20, n)) * (rng.uniform(size=(20, n)) < 0.4)
+    else:  # sparse-below
+        X = rng.uniform(size=(80, n)) * (rng.uniform(size=(80, n)) < 0.05)
+    P = fit_uncentered_pca(DataMatrix(X), 3)
+    values = sp.csc_array(X) if name.startswith("sparse") else X
+    return DataMatrix(values, labels=labels), P
+
+
+class TestStreamingTiles:
+    """Tiles of a few rows, and chunks cut inside them, change no reduction."""
+
+    @pytest.mark.parametrize("tiled", [False, True], ids=["one-block", "row-blocks"])
+    @pytest.mark.parametrize(
+        "case", ["ties", "duplicates", "offset", "sparse-above", "sparse-below"]
+    )
+    def test_streamed_reductions_match_oracle_and_pair_set(self, monkeypatch, case, tiled):
+        A, P = _tile_case(case)
+        density = A.values.nnz / (A.d * A.n) if sp.issparse(A.values) else 1.0
+        assert (density < DENSE_GRAM_DENSITY) == (case == "sparse-below")
+        widths = [1, P.k]
+        grid = default_curve_grid()
+        oracle = _oracle(A, P, widths, grid)
+        # the materialized path, in one tile and one chunk
+        pairs = pair_compression(A, P)
+        want = {
+            "clusters": _groups(cluster_summary(pairs)),
+            "points": [(p.intra_avg, p.inter_avg) for p in pointwise_summary(pairs)],
+            "curve": [p.y for p in intra_fraction_curve(pairs, grid=grid)],
+            # one tile and one chunk; its full-width row is the PairSet's
+            "sweep": [(r["intra_ratio_avg"], r["inter_ratio_avg"])
+                      for r in pcs_sweep(A, P, widths).rows],
+        }
+        diagonal = np.eye(A.labels.max() + 1, dtype=bool)
+        table = ClusterPairTable(A.labels)
+        reduce_pairs(pairs, table)
+        _assert_same(want["sweep"][-1], (table.group(diagonal).ratio_avg,
+                                         table.group(~diagonal).ratio_avg))
+
+        monkeypatch.setattr(metrics, "_TILE_ROWS", 3)
+        monkeypatch.setattr(metrics, "_CHUNK_PAIRS", 5)
+        if tiled:
+            # no single centered block: row blocks of 3, summed into each tile
+            monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 16)
+        stream = PairStream(A, P)
+        table, points, histogram = (
+            sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)
+        )
+        reduce_pairs(stream, table, points, histogram)
+        got = {
+            "clusters": _groups(cluster_summary(table)),
+            "points": [(p.intra_avg, p.inter_avg) for p in pointwise_summary(points)],
+            "curve": [p.y for p in intra_fraction_curve(stream, grid=grid, histogram=histogram)],
+            "sweep": [(r["intra_ratio_avg"], r["inter_ratio_avg"])
+                      for r in pcs_sweep(A, P, widths).rows],
+        }
+        assert table.count.sum() == A.n * (A.n - 1) // 2
+        assert table.recomputed == pairs.recomputed
+        if case == "offset":
+            assert table.recomputed > 0
+        _assert_same(got, want)
+        assert got["curve"] == want["curve"]
+        _assert_same(got["clusters"], oracle["clusters"], rtol=1e-9)
+        _assert_same(got["points"], oracle["points"], rtol=1e-9)
+        _assert_same(got["sweep"], oracle["sweep"], rtol=1e-9)
+        assert got["curve"] == oracle["curve"]
+
+    def test_ties_straddle_tile_edges(self):
+        A, P = _tile_case("ties")
+        pairs = pair_compression(A, P)
+        key = np.where(pairs.degenerate, np.inf, pairs.ratio)
+        tile = pairs.i // 3
+        tied = [(key == v) for v in np.unique(key)]
+        assert any(len(np.unique(tile[t])) > 1 and len(np.unique(pairs.same[t])) > 1 for t in tied)
+        assert pairs.degenerate.any() and (pairs.pre[pairs.degenerate] > 0).any()
+
+    @pytest.mark.parametrize("tiled", [False, True], ids=["one-block", "row-blocks"])
+    def test_unlabeled_overall(self, monkeypatch, tiled):
+        A, P = _tile_case("unlabeled")
+        oracle = _oracle(A, P, [P.k], default_curve_grid())["overall"]
+        monkeypatch.setattr(metrics, "_TILE_ROWS", 3)
+        monkeypatch.setattr(metrics, "_CHUNK_PAIRS", 5)
+        if tiled:
+            monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 16)
+        table = ClusterPairTable(np.zeros(A.n, dtype=int))
+        reduce_pairs(PairStream(A, P), table)
+        g = table.group(0)
+        _assert_same((g.pair_count, g.excluded, g.pre_avg, g.post_avg, g.ratio_avg), oracle)
+        with pytest.raises(InputError):
+            cluster_summary(PairStream(A, P))
+
+    def test_exact_pass_memory_stays_bounded(self):
+        # every exact reduction over the 4.5 M pairs of a dense 1000 x 3000
+        # matrix; a materialized PairSet alone would take over 300 MB
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from pcacompress.linalg import DataMatrix, Projector
+            from pcacompress.metrics import (
+                ClusterPairTable, CurveHistogram, PairStream, PointSums,
+                intra_fraction_curve, reduce_pairs,
+            )
+
+            rng = np.random.default_rng(0)
+            labels = np.arange(3000) % 3
+            A = DataMatrix(rng.uniform(size=(1000, 3000)), labels=labels)
+            Q, _ = np.linalg.qr(rng.standard_normal((1000, 5)))
+            P = Projector(Q.T, [5.0, 4.0, 3.0, 2.0, 1.0])
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            pairs = PairStream(A, P)
+            sinks = [sink(labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)]
+            reduce_pairs(pairs, *sinks)
+            curve = intra_fraction_curve(pairs, histogram=sinks[2])
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            assert sinks[0].count.sum() == 3000 * 2999 // 2
+            assert len(curve) == 100
+            print((after - before) / 1024.0)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {"PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600
+        )
+        assert done.returncode == 0, done.stderr
+        growth_mb = float(done.stdout)
+        assert growth_mb < 40.0
