@@ -32,7 +32,7 @@ from .linalg import (
     spectral_norm,
     top_eigenvalue,
 )
-from .metrics import ClusterPairTable, PairStream, extra_pc_split, reduce_pairs
+from .metrics import ClusterPairTable, extra_pc_split, pair_compression
 from .models import RandomVectorModel, generate_dataset, model_stats
 
 
@@ -537,7 +537,7 @@ def verify_bounds(
         if use_empirical_sk:
             params = BoundParams.from_model(model, C0=C0, s_k=sk_seed)
         table = ClusterPairTable(A.labels, extremes=True)
-        reduce_pairs(PairStream(A, P, gram=G), table)
+        pair_compression(A, P, gram=G, sinks=(table,))
         for _, clusters, bound, quantity, tracker in checks:
             cell = (clusters[0], clusters[-1])
             if not table.count[cell]:

@@ -270,29 +270,28 @@ def cmd_analyze(args) -> None:
     from .metrics import (
         ClusterPairTable,
         CurveHistogram,
-        PairStream,
         PointSums,
         cluster_summary,
         intra_fraction_curve,
+        pair_compression,
         pointwise_summary,
-        reduce_pairs,
     )
 
     kprime = _require_pcs(args)
     A, names = _ingest(args)
     fit = fit_centered_pca if args.centered else fit_uncentered_pca
     P = fit(A, kprime, SvdOptions(seed=args.seed))
-    pairs = PairStream(A, P, _pair_policy(args))
     # one pass fills every sink; only the curve's cut bins take a second
     if A.labels is None:
         # one cluster holding every point: its single cell is every pair
         table = ClusterPairTable(np.zeros(A.n, dtype=np.int64))
-        reduce_pairs(pairs, table)
+        sinks = (table,)
     else:
         table, point_sums, histogram = (
             sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)
         )
-        reduce_pairs(pairs, table, point_sums, histogram)
+        sinks = (table, point_sums, histogram)
+    pairs = pair_compression(A, P, _pair_policy(args), sinks=sinks)
     out = _out_dir(args)
 
     doc = {

@@ -14,8 +14,8 @@ cluster pairs, :class:`PointSums` per point, and the curve's two passes
 pairs are taken over tiles of rows of the strict upper triangle, each
 with its block of the Gram matrix, so no per-pair array outlives its
 chunk and memory grows with n times the tile, not with the pair count.
-:func:`pair_compression` materializes the same chunks as a
-:class:`PairSet`.
+:func:`pair_compression` runs one pass into sinks, or keeps its chunks
+as one :class:`PairSet`.
 
 Pairs whose projected distance is negligible relative to the original
 distance (below 1e-12 of it) are "maximally compressed": their ratio is
@@ -60,12 +60,11 @@ class PairSet:
 
     Flat arrays ``i``, ``j``, ``pre``, ``post``, ``ratio`` (NaN for
     absent), the ``degenerate`` mask, and the ``same`` mask or None.
-    ``start`` is the position of the first pair in its pass (ties in the
-    curve break by position) and ``recomputed`` counts the pairs whose
-    original distance the Gram identity left to a direct difference.
+    ``recomputed`` counts the pairs whose original distance the Gram
+    identity left to a direct difference.
     """
 
-    def __init__(self, i, j, pre, post, labels=None, start=0, recomputed=0):
+    def __init__(self, i, j, pre, post, labels=None, recomputed=0):
         self.i = i
         self.j = j
         self.pre = pre
@@ -77,7 +76,6 @@ class PairSet:
         self.ratio = ratio
         self.labels = labels
         self.same = None if labels is None else labels[i] == labels[j]
-        self.start = start
         self.recomputed = recomputed
 
     def __len__(self) -> int:
@@ -89,7 +87,7 @@ class PairSet:
             s = slice(start, start + _CHUNK_PAIRS)
             yield PairSet(
                 self.i[s], self.j[s], self.pre[s], self.post[s], self.labels,
-                self.start + start, self.recomputed if start == 0 else 0,
+                self.recomputed if start == 0 else 0,
             )
 
 
@@ -169,10 +167,6 @@ def _gram_rows(M, G: Optional[np.ndarray] = None):
     if sp.issparse(M) and M.nnz < DENSE_GRAM_DENSITY * d * n:
         g = np.asarray(M.multiply(M).sum(axis=0)).ravel()
         return g, lambda a, b: (M[:, a:b].T @ M[:, a:]).toarray()
-    if d * n <= _BLOCK_ENTRIES:
-        # one block: M is centered once, for every tile
-        (whole,) = centered_row_blocks(M, np.asarray(M.mean(axis=1)).reshape(d), rows=d)
-        return np.einsum("ij,ij->j", whole, whole), lambda a, b: whole[:, a:b].T @ whole[:, a:]
     R, mean = row_sliceable(M)
     # row blocks as deep as a tile: the tile's product runs at BLAS speed,
     # and a block is no larger than the tile
@@ -195,7 +189,7 @@ def _gram_rows(M, G: Optional[np.ndarray] = None):
 
 
 def _exact_parts(M, sides, G):
-    """All pairs, chunk by chunk: ``(start, i, j, pre, posts, recomputed)``.
+    """All pairs, chunk by chunk: ``(i, j, pre, posts, recomputed)``.
 
     One tile of rows of the strict upper triangle at a time; each chunk's
     projected Gram blocks are prefix sums over the components of each
@@ -225,8 +219,7 @@ def _exact_parts(M, sides, G):
                     block = block + Yc[done:w, r0:r1].T @ Yc[done:w, r0:]
                     done = w
                     posts.append(_gram_distances(block, gw, upper, i, j, Y[:w])[0])
-            # row r0's pairs start at linear index r0*(2n - r0 - 1)/2
-            yield r0 * (2 * n - r0 - 1) // 2, i, j, pre, posts, recomputed
+            yield i, j, pre, posts, recomputed
             r0 = r1
         del tile  # freed before the next tile is formed
 
@@ -236,7 +229,7 @@ def _sampled_parts(M, sides, sample):
     for start in range(0, len(sample[0]), _CHUNK_PAIRS):
         i, j = (index[start : start + _CHUNK_PAIRS] for index in sample)
         posts = [_direct_distances(Y[:w], i, j) for Y, widths in sides for w in widths]
-        yield start, i, j, _direct_distances(M, i, j), posts, 0
+        yield i, j, _direct_distances(M, i, j), posts, 0
 
 
 def _pass(A: DataMatrix, sides, sample=None, G=None):
@@ -251,7 +244,7 @@ def _pass(A: DataMatrix, sides, sample=None, G=None):
         parts = _exact_parts(A.values, sides, G)
     else:
         parts = _sampled_parts(A.values, sides, sample)
-    for start, i, j, pre, posts, recomputed in parts:
+    for i, j, pre, posts, recomputed in parts:
         out = []
         for post in posts:
             if np.any(post > pre * (1.0 + _CONTRACTION_RTOL)):
@@ -261,7 +254,7 @@ def _pass(A: DataMatrix, sides, sample=None, G=None):
                     f"for pair ({i[t]}, {j[t]}); projection should contract"
                 )
             post = np.minimum(post, pre, out=post)
-            out.append(PairSet(i, j, pre, post, A.labels, start, recomputed))
+            out.append(PairSet(i, j, pre, post, A.labels, recomputed))
         yield out
 
 
@@ -284,6 +277,10 @@ class PairStream:
         self.labels = A.labels
         self.Y = project_columns(P, A)
 
+    def __len__(self) -> int:
+        n = self.A.n
+        return n * (n - 1) // 2 if self.sample is None else len(self.sample[0])
+
     def chunks(self) -> Iterator[PairSet]:
         sides = [(self.Y, [self.Y.shape[0]])]
         for (chunk,) in _pass(self.A, sides, self.sample, self.gram):
@@ -291,14 +288,20 @@ class PairStream:
 
 
 def pair_compression(
-    A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exact", gram=None
-) -> PairSet:
-    """Distances and compression ratios for all (or sampled) column pairs, materialized.
+    A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exact", gram=None, sinks=None
+) -> Union[PairSet, PairStream]:
+    """Distances and compression ratios for all (or sampled) column pairs: one pass.
 
-    The chunks of one :class:`PairStream` pass, kept; see there for the
-    arguments.
+    The pass is that of a :class:`PairStream` (see there for the other
+    arguments). With ``sinks``, each chunk goes to every sink and none
+    is kept; the stream is returned, for further passes. Without, the
+    chunks are kept and returned as one :class:`PairSet`.
     """
-    parts = list(PairStream(A, P, pair_policy, gram).chunks())
+    stream = PairStream(A, P, pair_policy, gram)
+    if sinks is not None:
+        reduce_pairs(stream, *sinks)
+        return stream
+    parts = list(stream.chunks())
     cat = lambda name: np.concatenate([getattr(p, name) for p in parts])  # noqa: E731
     return PairSet(
         cat("i"), cat("j"), cat("pre"), cat("post"), A.labels,

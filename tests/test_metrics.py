@@ -580,11 +580,10 @@ def _tile_case(name):
 class TestStreamingTiles:
     """Tiles of a few rows, and chunks cut inside them, change no reduction."""
 
-    @pytest.mark.parametrize("tiled", [False, True], ids=["one-block", "row-blocks"])
     @pytest.mark.parametrize(
         "case", ["ties", "duplicates", "offset", "sparse-above", "sparse-below"]
     )
-    def test_streamed_reductions_match_oracle_and_pair_set(self, monkeypatch, case, tiled):
+    def test_streamed_reductions_match_oracle_and_pair_set(self, monkeypatch, case):
         A, P = _tile_case(case)
         density = A.values.nnz / (A.d * A.n) if sp.issparse(A.values) else 1.0
         assert (density < DENSE_GRAM_DENSITY) == (case == "sparse-below")
@@ -609,14 +608,12 @@ class TestStreamingTiles:
 
         monkeypatch.setattr(metrics, "_TILE_ROWS", 3)
         monkeypatch.setattr(metrics, "_CHUNK_PAIRS", 5)
-        if tiled:
-            # no single centered block: row blocks of 3, summed into each tile
-            monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 16)
-        stream = PairStream(A, P)
+        # each tile sums centered row blocks of 3 rows
         table, points, histogram = (
             sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)
         )
-        reduce_pairs(stream, table, points, histogram)
+        stream = pair_compression(A, P, sinks=(table, points, histogram))
+        assert isinstance(stream, PairStream) and len(stream) == A.n * (A.n - 1) // 2
         got = {
             "clusters": _groups(cluster_summary(table)),
             "points": [(p.intra_avg, p.inter_avg) for p in pointwise_summary(points)],
@@ -644,16 +641,13 @@ class TestStreamingTiles:
         assert any(len(np.unique(tile[t])) > 1 and len(np.unique(pairs.same[t])) > 1 for t in tied)
         assert pairs.degenerate.any() and (pairs.pre[pairs.degenerate] > 0).any()
 
-    @pytest.mark.parametrize("tiled", [False, True], ids=["one-block", "row-blocks"])
-    def test_unlabeled_overall(self, monkeypatch, tiled):
+    def test_unlabeled_overall(self, monkeypatch):
         A, P = _tile_case("unlabeled")
         oracle = _oracle(A, P, [P.k], default_curve_grid())["overall"]
         monkeypatch.setattr(metrics, "_TILE_ROWS", 3)
         monkeypatch.setattr(metrics, "_CHUNK_PAIRS", 5)
-        if tiled:
-            monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 16)
         table = ClusterPairTable(np.zeros(A.n, dtype=int))
-        reduce_pairs(PairStream(A, P), table)
+        pair_compression(A, P, sinks=(table,))
         g = table.group(0)
         _assert_same((g.pair_count, g.excluded, g.pre_avg, g.post_avg, g.ratio_avg), oracle)
         with pytest.raises(InputError):
@@ -668,8 +662,8 @@ class TestStreamingTiles:
             import numpy as np
             from pcacompress.linalg import DataMatrix, Projector
             from pcacompress.metrics import (
-                ClusterPairTable, CurveHistogram, PairStream, PointSums,
-                intra_fraction_curve, reduce_pairs,
+                ClusterPairTable, CurveHistogram, PointSums, intra_fraction_curve,
+                pair_compression,
             )
 
             rng = np.random.default_rng(0)
@@ -678,9 +672,8 @@ class TestStreamingTiles:
             Q, _ = np.linalg.qr(rng.standard_normal((1000, 5)))
             P = Projector(Q.T, [5.0, 4.0, 3.0, 2.0, 1.0])
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            pairs = PairStream(A, P)
             sinks = [sink(labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)]
-            reduce_pairs(pairs, *sinks)
+            pairs = pair_compression(A, P, sinks=sinks)
             curve = intra_fraction_curve(pairs, histogram=sinks[2])
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             assert sinks[0].count.sum() == 3000 * 2999 // 2
