@@ -69,25 +69,29 @@ def _row_sq_norms(X) -> np.ndarray:
 
 def _sq_distances(X, sq_norms, centers) -> np.ndarray:
     cross = X @ centers.T
-    if sp.issparse(cross):
-        cross = np.asarray(cross.todense())
     c_norms = np.einsum("ij,ij->i", centers, centers)
     out = sq_norms[:, None] - 2.0 * cross + c_norms[None, :]
     np.clip(out, 0.0, None, out=out)
     return out
 
 
+def _one_hot(labels: np.ndarray, k: int):
+    """Zᵀ, the k x n membership matrix: Z[u, labels[u]] = 1."""
+    n = len(labels)
+    return sp.csr_array((np.ones(n), (labels, np.arange(n))), shape=(k, n))
+
+
 def _cluster_means(X, labels, k) -> np.ndarray:
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    onehot = sp.csr_array(
-        (np.ones(len(labels)), (labels, np.arange(len(labels)))),
-        shape=(k, X.shape[0]),
-    )
-    sums = onehot @ X
+    sums = _one_hot(labels, k) @ X
     if sp.issparse(sums):
         sums = sums.toarray()
     safe = np.maximum(counts, 1.0)
     return sums / safe[:, None], counts
+
+
+def _row(X, i: int) -> np.ndarray:
+    return X[[i]].toarray()[0] if sp.issparse(X) else X[i]
 
 
 def _lloyd(X, sq_norms, k, rng, max_iter, tol):
@@ -95,7 +99,7 @@ def _lloyd(X, sq_norms, k, rng, max_iter, tol):
     # k-means++ seeding
     first = int(rng.integers(n))
     centers = np.empty((k, X.shape[1]))
-    centers[0] = X[[first]].toarray()[0] if sp.issparse(X) else X[first]
+    centers[0] = _row(X, first)
     d2 = _sq_distances(X, sq_norms, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
@@ -103,7 +107,7 @@ def _lloyd(X, sq_norms, k, rng, max_iter, tol):
             idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
-        centers[j] = X[[idx]].toarray()[0] if sp.issparse(X) else X[idx]
+        centers[j] = _row(X, idx)
         d2 = np.minimum(d2, _sq_distances(X, sq_norms, centers[j : j + 1])[:, 0])
 
     previous = math.inf
@@ -122,7 +126,7 @@ def _lloyd(X, sq_norms, k, rng, max_iter, tol):
             # point currently farthest from its assigned center
             point_d = _sq_distances(X, sq_norms, centers)[np.arange(n), labels]
             far = int(point_d.argmax())
-            centers[c] = X[[far]].toarray()[0] if sp.issparse(X) else X[far]
+            centers[c] = _row(X, far)
             labels[far] = c
         if previous - inertia <= tol * max(inertia, 1.0) and previous < math.inf:
             previous = inertia
@@ -164,39 +168,48 @@ def kmeans(
 
 
 class NeighborGraph:
-    """Undirected unweighted graph stored as per-node neighbor arrays."""
+    """Undirected unweighted graph: a symmetric n x n CSR adjacency of unit entries.
 
-    def __init__(self, n: int, neighbors: List[np.ndarray]):
-        if len(neighbors) != n:
-            raise InputError("need one neighbor list per node")
-        self.n = n
-        self.neighbors = [np.asarray(sorted(v), dtype=np.int64) for v in neighbors]
-        seen = [set(v.tolist()) for v in self.neighbors]
-        for u, row in enumerate(self.neighbors):
-            if len(seen[u]) != len(row):
-                raise InputError(f"node {u} lists a neighbor twice")
-            if u in seen[u]:
-                raise InputError(f"node {u} has a self-loop")
-            for v in row:
-                if not 0 <= v < n:
-                    raise InputError(f"node {u} has out-of-range neighbor {v}")
-                if u not in seen[v]:
-                    raise InputError(f"edge {u}-{v} is not symmetric")
+    Each entry the given sparse ``adjacency`` stores is an edge, whatever its value.
+    """
+
+    def __init__(self, adjacency):
+        W = sp.csr_array(adjacency)
+        n = W.shape[0]
+        if W.shape != (n, n):
+            raise InputError(f"adjacency must be square, got shape {W.shape}")
+        if ((W.indices < 0) | (W.indices >= n)).any():
+            raise InputError(f"out-of-range neighbor: nodes are 0 .. {n - 1}")
+        # unit entries, so a neighbor listed twice sums to 2
+        W = sp.csr_array((np.ones(W.nnz), W.indices, W.indptr), shape=(n, n))
+        W.sum_duplicates()
+        if (W.data > 1).any():
+            raise InputError("a node lists a neighbor twice")
+        loops = np.flatnonzero(W.diagonal())
+        if len(loops):
+            raise InputError(f"node {loops[0]} has a self-loop")
+        u, v = (W != W.T).nonzero()
+        if len(u):
+            raise InputError(f"edge {u[0]}-{v[0]} is not symmetric")
+        self.n, self.adjacency = n, W
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "NeighborGraph":
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(n, [np.array(sorted(s), dtype=np.int64) for s in adj])
+        """Nodes 0 .. n-1 joined by each listed pair (u, v); a repeated pair counts once."""
+        u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        W = sp.csr_array((np.ones(len(u)), (u, v)), shape=(n, n))
+        return cls(W.maximum(W.T))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.neighbors) // 2
+        return self.adjacency.nnz // 2
+
+    def neighbors(self, u: int) -> np.ndarray:
+        """Node u's neighbors, ascending."""
+        return self.adjacency.indices[slice(*self.adjacency.indptr[u : u + 2])]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
+        return v in self.neighbors(u)
 
 
 def knn_graph(points, m: int = 20, block: int = 512) -> NeighborGraph:
@@ -210,86 +223,68 @@ def knn_graph(points, m: int = 20, block: int = 512) -> NeighborGraph:
     if not 1 <= m < n:
         raise InputError(f"need 1 <= m < n={n}, got m={m}")
     sq_norms = _row_sq_norms(X)
-    dense = np.asarray(X.todense()) if sp.issparse(X) else X
-    adj = [set() for _ in range(n)]
+    dense = X.toarray() if sp.issparse(X) else X
+    nearest = np.empty((n, m), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
         D = _sq_distances(X[start:stop], sq_norms[start:stop], dense)
-        for local, u in enumerate(range(start, stop)):
-            row = D[local].copy()
-            row[u] = np.inf
-            order = np.lexsort((np.arange(n), row))
-            for v in order[:m]:
-                adj[u].add(int(v))
-                adj[int(v)].add(u)
-    return NeighborGraph(n, [np.array(sorted(s), dtype=np.int64) for s in adj])
+        D[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        # a stable sort keeps equal distances in index order
+        nearest[start:stop] = np.argsort(D, axis=1, kind="stable")[:, :m]
+    W = sp.csr_array((np.ones(n * m), nearest.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n))
+    return NeighborGraph(W.maximum(W.T))
 
 
-def _weighted_modularity(adj: List[Dict[int, float]], comm: np.ndarray) -> float:
-    two_m = sum(sum(nbrs.values()) for nbrs in adj)
+def _first_appearance(ids: np.ndarray):
+    """``(relabeled, k)``: ids renumbered 0 .. k-1 in order of first appearance."""
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], len(first)
+
+
+def _modularity(W) -> float:
+    """Modularity of W's nodes as singleton communities: tr(W)/2m − Σ(deg/2m)²."""
+    two_m = W.sum()
     if two_m == 0:
         return 0.0
-    intra = 0.0
-    comm_degree: Dict[int, float] = {}
-    for u, nbrs in enumerate(adj):
-        degree = sum(nbrs.values())
-        comm_degree[comm[u]] = comm_degree.get(comm[u], 0.0) + degree
-        for v, w in nbrs.items():
-            if comm[u] == comm[v]:
-                intra += w
-    return intra / two_m - sum((dc / two_m) ** 2 for dc in comm_degree.values())
+    return float(W.trace() / two_m - np.sum((W.sum(axis=1) / two_m) ** 2))
 
 
-def _louvain_level(adj: List[Dict[int, float]]):
-    n = len(adj)
-    degree = np.array([sum(nbrs.values()) for nbrs in adj])
+def _louvain_level(W):
+    """Local moves in node order until none moves: ``(comm, improved)``.
+
+    A move must beat the best gain so far by ``_GAIN_EPS``, over candidates
+    in ascending id, so equal gains go to the lowest id (or stay put).
+    """
+    n = W.shape[0]
+    degree = W.sum(axis=1)
     two_m = float(degree.sum())
     comm = np.arange(n)
     if two_m == 0:
         return comm, False
-    sigma_tot = degree.astype(np.float64).copy()
-    improved = False
-    moved = True
+    indptr, indices, weights, loops = W.indptr, W.indices, W.data, W.diagonal()
+    sigma_tot = degree.copy()
+    improved, moved = False, True
     while moved:
         moved = False
         for u in range(n):
+            lo, hi = indptr[u], indptr[u + 1]
+            weight_to = np.bincount(comm[indices[lo:hi]], weights=weights[lo:hi], minlength=n)
             old = comm[u]
-            weight_to: Dict[int, float] = {}
-            for v, w in adj[u].items():
-                if v != u:
-                    c = comm[v]
-                    weight_to[c] = weight_to.get(c, 0.0) + w
+            weight_to[old] -= loops[u]  # a self-loop counts in the degree only
             sigma_tot[old] -= degree[u]
-            best_c = old
-            best_gain = weight_to.get(old, 0.0) - degree[u] * sigma_tot[old] / two_m
-            for c in sorted(weight_to):
-                if c == old:
-                    continue
-                gain = weight_to[c] - degree[u] * sigma_tot[c] / two_m
-                if gain > best_gain + _GAIN_EPS:
+            best_c, best_gain = old, weight_to[old] - degree[u] * sigma_tot[old] / two_m
+            candidates = weight_to.nonzero()[0]
+            gains = weight_to[candidates] - degree[u] * sigma_tot[candidates] / two_m
+            for c, gain in zip(candidates.tolist(), gains.tolist()):
+                if c != old and gain > best_gain + _GAIN_EPS:
                     best_c, best_gain = c, gain
             comm[u] = best_c
             sigma_tot[best_c] += degree[u]
             if best_c != old:
-                moved = True
-                improved = True
+                moved = improved = True
     return comm, improved
-
-
-def _aggregate(adj: List[Dict[int, float]], comm: np.ndarray):
-    ids = []
-    remap = {}
-    for c in comm:
-        if c not in remap:
-            remap[c] = len(ids)
-            ids.append(c)
-    new_adj: List[Dict[int, float]] = [dict() for _ in ids]
-    for u, nbrs in enumerate(adj):
-        cu = remap[comm[u]]
-        for v, w in nbrs.items():
-            cv = remap[comm[v]]
-            new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
-    return new_adj, np.array([remap[c] for c in comm])
 
 
 def community_detect(graph: NeighborGraph) -> Labeling:
@@ -299,14 +294,15 @@ def community_detect(graph: NeighborGraph) -> Labeling:
     community id, so the result is a pure function of the graph.
     Modularity is checked to never decrease across passes.
     """
-    adj: List[Dict[int, float]] = [
-        {int(v): 1.0 for v in graph.neighbors[u]} for u in range(graph.n)
-    ]
+    W = graph.adjacency
     assignment = np.arange(graph.n)
-    q_before = _weighted_modularity(adj, np.arange(len(adj)))
+    q_before = _modularity(W)
     while True:
-        comm, improved = _louvain_level(adj)
-        q_after = _weighted_modularity(adj, comm)
+        comm, improved = _louvain_level(W)
+        comm, k = _first_appearance(comm)
+        ZT = _one_hot(comm, k)
+        collapsed = (ZT @ W @ ZT.T).tocsr()  # the communities' adjacency
+        q_after = _modularity(collapsed)
         if q_after < q_before - _GAIN_EPS:
             raise NumericalError(
                 f"modularity dropped from {q_before:g} to {q_after:g}"
@@ -314,17 +310,9 @@ def community_detect(graph: NeighborGraph) -> Labeling:
         q_before = q_after
         if not improved:
             break
-        adj, node_to_new = _aggregate(adj, comm)
-        assignment = node_to_new[assignment]
-    # relabel communities by first appearance over original node order
-    remap = {}
-    final = np.empty(graph.n, dtype=np.int64)
-    for u in range(graph.n):
-        c = assignment[u]
-        if c not in remap:
-            remap[c] = len(remap)
-        final[u] = remap[c]
-    return Labeling(final, k=max(len(remap), 1))
+        W, assignment = collapsed, comm[assignment]
+    final, k = _first_appearance(assignment)
+    return Labeling(final, k=max(k, 1))
 
 
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -468,7 +456,6 @@ def pipeline_compare(
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     if not seed_list:
         raise InputError("need at least one seed")
-    raw_points = A.values.T if not A.is_sparse else sp.csr_array(A.values.T)
     P = fit_uncentered_pca(A, kprime, opts)
     projected = project_columns(P, A).T
     graph = knn_graph(projected, m=neighbors)
@@ -485,7 +472,7 @@ def pipeline_compare(
 
     arms: Dict[str, List[ArmResult]] = {name: [] for name in ARM_NAMES}
     for seed in seed_list:
-        arms["kmeans-raw"].append(score(seed, kmeans(raw_points, k, seed=seed)))
+        arms["kmeans-raw"].append(score(seed, kmeans(A.values.T, k, seed=seed)))
         arms["kmeans-pca"].append(score(seed, kmeans(projected, k, seed=seed)))
         arms["graph-pca"].append(score(seed, graph_labels))
     return ComparisonReport(arms=arms, k=k, kprime=kprime, neighbors=neighbors)

@@ -327,7 +327,11 @@ def load_matrix(spec: IngestSpec) -> Tuple[DataMatrix, List[str]]:
     labels, names = (None, [])
     if spec.labels is not None:
         labels, names = load_labels(spec.labels, n=values.shape[1])
-    A = DataMatrix(values, labels=labels)
+    try:
+        A = DataMatrix(values, labels=labels)
+    except InputError as exc:
+        # a file's values the matrix rejects, such as NaN or infinity
+        raise InputError(f"{spec.matrix}: {exc}") from None
     if spec.normalization == "log1p":
         A = log_normalize(A)
     return A, names

@@ -58,10 +58,10 @@ PairPolicy = Union[str, Tuple[str, int, int]]
 class PairSet:
     """Pair distances, column-vectorized: a policy's pairs, or one chunk of a pass.
 
-    Flat arrays ``i``, ``j``, ``pre``, ``post``, ``ratio`` (NaN for
-    absent), the ``degenerate`` mask, and the ``same`` mask or None.
-    ``recomputed`` counts the pairs whose original distance the Gram
-    identity left to a direct difference.
+    Flat arrays ``i``, ``j``, ``pre``, ``post``, ``ratio`` (NaN for absent),
+    the ``degenerate`` mask, and ``li``, ``lj``, ``same`` (labels at i and j,
+    and their match) or None. ``recomputed`` counts the pairs whose original
+    distance the Gram identity left to a direct difference.
     """
 
     def __init__(self, i, j, pre, post, labels=None, recomputed=0):
@@ -75,8 +75,16 @@ class PairSet:
         ratio[self.degenerate] = np.nan
         self.ratio = ratio
         self.labels = labels
-        self.same = None if labels is None else labels[i] == labels[j]
+        self.li, self.lj = (None, None) if labels is None else (labels[i], labels[j])
+        self.same = None if labels is None else self.li == self.lj
         self.recomputed = recomputed
+
+    def gather(self, labels):
+        """``(labels[i], labels[j], same)``: the chunk's own, when ``labels`` are its labels."""
+        if labels is self.labels:
+            return self.li, self.lj, self.same
+        li, lj = labels[self.i], labels[self.j]
+        return li, lj, li == lj
 
     def __len__(self) -> int:
         return len(self.pre)
@@ -360,7 +368,7 @@ class ClusterPairTable:
 
     def update(self, pairs: PairSet) -> None:
         k = len(self.count)
-        la, lb = self.labels[pairs.i], self.labels[pairs.j]
+        la, lb, _ = pairs.gather(self.labels)
         cell = np.minimum(la, lb).astype(np.int64) * k + np.maximum(la, lb)
         fin = ~pairs.degenerate
         self.count += np.bincount(cell, minlength=k * k).reshape(k, k)
@@ -452,7 +460,7 @@ class PointSums:
     def update(self, pairs: PairSet) -> None:
         fin = ~pairs.degenerate
         i, j, ratio = pairs.i[fin], pairs.j[fin], pairs.ratio[fin]
-        cross = self.labels[i] != self.labels[j]
+        cross = ~pairs.gather(self.labels)[2][fin]
         slot = np.concatenate((2 * i + cross, 2 * j + cross))
         size = len(self.sums)
         self.sums += np.bincount(slot, weights=np.concatenate((ratio, ratio)), minlength=size)
@@ -523,7 +531,7 @@ class CurveHistogram:
 
     def update(self, pairs: PairSet) -> None:
         bins = _curve_bins(_rank_keys(pairs))
-        same = self.labels[pairs.i] == self.labels[pairs.j]
+        same = pairs.gather(self.labels)[2]
         self.total += np.bincount(bins, minlength=len(self.total))
         self.same += np.bincount(bins[same], minlength=len(self.total))
 
@@ -557,7 +565,7 @@ class _CurveCuts:
         keys = _rank_keys(pairs)
         keep = self.wanted[_curve_bins(keys)]
         self.keys.append(keys[keep])
-        self.same.append(self.labels[pairs.i[keep]] == self.labels[pairs.j[keep]])
+        self.same.append(pairs.gather(self.labels)[2][keep])
 
     def points(self) -> List[CurvePoint]:
         keys, same = np.concatenate(self.keys), np.concatenate(self.same)

@@ -152,7 +152,7 @@ class TestKnnGraph:
                 adj[u].add(v)
                 adj[v].add(u)
         for u in range(100):
-            assert set(graph.neighbors[u].tolist()) == adj[u]
+            assert set(graph.neighbors(u).tolist()) == adj[u]
 
     def test_full_m_gives_complete_graph(self):
         rng = np.random.default_rng(4)
@@ -175,19 +175,34 @@ class TestKnnGraph:
             knn_graph(points, m=0)
 
 
+def adjacency(rows):
+    """The n x n CSR matrix storing row u's listed neighbors as given, unchecked."""
+    indices = np.array([v for row in rows for v in row], dtype=np.int64)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(len(rows), len(rows)))
+
+
 class TestNeighborGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
-            NeighborGraph(2, [np.array([0, 1]), np.array([0])])
+            NeighborGraph(adjacency([[0, 1], [0]]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InputError):
-            NeighborGraph(2, [np.array([1]), np.array([])])
+            NeighborGraph(adjacency([[1], []]))
+
+    def test_rejects_duplicate_neighbor(self):
+        with pytest.raises(InputError, match="twice"):
+            NeighborGraph(adjacency([[1, 1], [0]]))
+
+    def test_rejects_out_of_range_neighbor(self):
+        with pytest.raises(InputError, match="out-of-range"):
+            NeighborGraph(adjacency([[1, 2], [0]]))
 
     def test_from_edges(self):
         graph = NeighborGraph.from_edges(4, [(0, 1), (1, 2), (1, 2)])
         assert graph.edge_count == 2
-        assert graph.neighbors[3].size == 0
+        assert graph.neighbors(3).size == 0
 
 
 def planted_graph(sizes, p, q, seed):
@@ -219,9 +234,16 @@ class TestCommunityDetect:
         assert result.k == 1
 
     def test_edgeless_graph_all_singletons(self):
-        result = community_detect(NeighborGraph(4, [np.array([])] * 4))
+        result = community_detect(NeighborGraph.from_edges(4, []))
         assert result.k == 4
         np.testing.assert_array_equal(result.labels, np.arange(4))
+
+    def test_equal_gain_goes_to_lower_community(self):
+        # node 0 bridges two mirror-image triangles, so joining the
+        # community of node 1 or of node 4 gains exactly the same
+        edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (0, 1), (0, 4)]
+        result = community_detect(NeighborGraph.from_edges(7, edges))
+        np.testing.assert_array_equal(result.labels, [0, 0, 0, 0, 1, 1, 1])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_planted_three_blocks_recovered(self, seed):

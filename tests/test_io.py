@@ -72,6 +72,27 @@ MALFORMED_MATRIX_MARKET = [
 ]
 
 
+# a file the command is pointed at but that is not there
+NO_FILE = object()
+GOOD_CSV = b"1,2,3\n4,5,6\n"
+# (name, matrix content, labels content or None for no --labels, the file
+# the error names, the line it names or None, fragment of its message)
+MALFORMED_CSV_AND_LABELS = [
+    ("ragged-row", b"1,2,3\n4,5\n", None, "matrix", 2, "expected 3 fields, found 2"),
+    ("non-numeric-cell", b"1,2,3\n4,x,6\n", None, "matrix", 2, "non-numeric entry 'x'"),
+    ("empty-file", b"", None, "matrix", 1, "empty file"),
+    ("blank-lines-only", b"\n\n\n", None, "matrix", 1, "empty file"),
+    ("header-only", b"a,b,c\n", None, "matrix", 1, "no data rows"),
+    ("nan-cell", b"1,2,3\n4,nan,6\n", None, "matrix", None, "non-finite entries"),
+    ("inf-cell", b"1,2,3\n4,inf,6\n", None, "matrix", None, "non-finite entries"),
+    ("too-few-labels", GOOD_CSV, b"a\nb\n", "labels", None, "2 labels for 3 samples"),
+    ("too-many-labels", GOOD_CSV, b"a\nb\na\nb\n", "labels", None, "4 labels for 3 samples"),
+    ("empty-labels-file", GOOD_CSV, b"", "labels", 1, "empty labels file"),
+    ("missing-matrix-file", NO_FILE, None, "matrix", None, "cannot read"),
+    ("missing-labels-file", GOOD_CSV, NO_FILE, "labels", None, "cannot read"),
+]
+
+
 def _truncated_gzip():
     blob = gzip.compress(mm_bytes(MM_LINES))
     return blob[: len(blob) // 2]
@@ -195,6 +216,35 @@ class TestMalformedMatrixMarketCli:
         code, err = self._analyze(path, tmp_path, capsys)
         assert code == 2
         assert re.search(rf"{re.escape(str(path))}:\d+: cannot read", err)
+
+
+class TestMalformedCsvAndLabelsCli:
+    """Every malformed CSV or labels file exits 2 with a message naming the file."""
+
+    @pytest.mark.parametrize(
+        "matrix, labels, named, line, message",
+        [case[1:] for case in MALFORMED_CSV_AND_LABELS],
+        ids=[case[0] for case in MALFORMED_CSV_AND_LABELS],
+    )
+    def test_malformed_file_exits_two_naming_it(
+        self, matrix, labels, named, line, message, tmp_path, capsys
+    ):
+        paths = {"matrix": tmp_path / "m.csv", "labels": tmp_path / "l.txt"}
+        argv = ["analyze", "--matrix", str(paths["matrix"]), "--pcs", "1",
+                "--out-dir", str(tmp_path / "out")]
+        if labels is not None:
+            argv += ["--labels", str(paths["labels"])]
+        for role, content in (("matrix", matrix), ("labels", labels)):
+            if content not in (None, NO_FILE):
+                paths[role].write_bytes(content)
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        where = f"{paths[named]}:{line}: " if line is not None else f"{paths[named]}: "
+        assert where in err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestMatrixMarketAgainstScipy:
