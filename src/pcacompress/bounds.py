@@ -26,7 +26,6 @@ import numpy as np
 from .errors import InputError
 from .linalg import (
     DataMatrix,
-    SvdOptions,
     centered_gram,
     fit_uncentered_pca,
     spectral_norm,
@@ -304,13 +303,12 @@ def extra_pc_check(
     f: float,
     C0: float = 1.0,
     seed: int = 0,
-    opts: Optional[SvdOptions] = None,
 ) -> ExtraPcCheck:
     """Count intra pairs whose trailing components exceed the threshold."""
     params = BoundParams.from_model(model, C0=C0)
     shift, budget = extra_pc_pair_bound(params, c, f)
     A = generate_dataset(model, seed)
-    P = fit_uncentered_pca(A, model.k + c, opts)
+    P = fit_uncentered_pca(A, model.k + c)
     split = extra_pc_split(A, P, model.k)
     intra = split.same
     trailing_sq = split.trailing[intra] ** 2
@@ -382,7 +380,9 @@ def calibrate_c0(model: RandomVectorModel, seeds: Union[int, Sequence[int]] = 10
     stats = model_stats(model)
     if stats.sigma_sq == 0:
         raise InputError("cannot calibrate C0 on a noiseless model")
-    seed_list = range(seeds) if isinstance(seeds, int) else seeds
+    seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
+    if not seed_list:
+        raise InputError("need at least one seed")
     ratios = []
     for seed in seed_list:
         check = noise_norm_check(model, seed, C0=1.0)
@@ -409,7 +409,7 @@ class BoundRecord:
 
 @dataclass
 class BoundReport:
-    """Every record, plus per seed the fit's SVD driver and the noise norm's source."""
+    """Every record, plus per seed the fit's SVD driver and residual and the noise norm's source."""
 
     records: List[BoundRecord]
     s_k_analytic: float
@@ -418,6 +418,7 @@ class BoundReport:
     trials: int = 0
     params: Optional[BoundParams] = field(default=None, repr=False)
     fit_drivers: List[str] = field(default_factory=list)
+    fit_residuals: List[Optional[float]] = field(default_factory=list)
     noise_norm_sources: List[str] = field(default_factory=list)
 
     def record(self, bound: str, *clusters: int) -> BoundRecord:
@@ -437,6 +438,7 @@ class BoundReport:
             "sigma_condition_met": self.sigma_condition_met,
             "trials": self.trials,
             "fit_drivers": self.fit_drivers,
+            "fit_residuals": self.fit_residuals,
             "noise_norm_sources": self.noise_norm_sources,
             "records": [r.to_dict() for r in self.records],
         }
@@ -493,7 +495,6 @@ def verify_bounds(
     kprime: Optional[int] = None,
     C0: float = 1.0,
     use_empirical_sk: bool = False,
-    opts: Optional[SvdOptions] = None,
 ) -> BoundReport:
     """Generate instances and test every closed-form bound against them.
 
@@ -501,12 +502,12 @@ def verify_bounds(
     compute all pair distances, and compare each bound with the
     matching empirical extreme (worst pair); the noise-norm record
     checks the same dataset's noise block. The dataset's centered Gram
-    matrix is formed once per seed, and the fit (when ``auto`` would
-    otherwise run the randomized driver), the original pair distances
-    and the noise norm all read it. ``kprime`` defaults to the
-    model's k. With ``use_empirical_sk`` the bounds are re-evaluated
-    per seed using the instance's own k-th singular value; the reported
-    analytic value is then the last seed's.
+    matrix is formed once per seed, and the fit (when it is past the
+    dense driver), the original pair distances and the noise norm all
+    read it. ``kprime`` defaults to the model's k. With
+    ``use_empirical_sk`` the bounds are re-evaluated per seed using the
+    instance's own k-th singular value; the reported analytic value is
+    then the last seed's.
     """
     k = model.k
     kprime = k if kprime is None else kprime
@@ -525,12 +526,13 @@ def verify_bounds(
             checks.append((name, clusters, bound, quantity, _Extremes(kind)))
     noise = _Extremes("upper")
 
-    sk_empirical, drivers, sources = [], [], []
+    sk_empirical, drivers, residuals, sources = [], [], [], []
     for seed in seed_list:
         A = generate_dataset(model, seed)
         G, mean = centered_gram(A.values)
-        P = fit_uncentered_pca(A, kprime, opts, gram=(G, mean))
+        P = fit_uncentered_pca(A, kprime, gram=(G, mean))
         drivers.append(P.driver)
+        residuals.append(P.residual)
         sk_seed = float(P.singular_values[k - 1])
         sk_empirical.append(sk_seed)
         params = base
@@ -573,5 +575,6 @@ def verify_bounds(
         trials=len(seed_list),
         params=base,
         fit_drivers=drivers,
+        fit_residuals=residuals,
         noise_norm_sources=sources,
     )

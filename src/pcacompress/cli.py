@@ -6,8 +6,9 @@ environment variables. That only works when this process has not
 imported numpy yet, which is true for the console entry point.
 
 Every run writes ``manifest.json`` into the output directory recording
-the command, its inputs, the seed, the normalization applied, and
-library versions. Exit codes: 0 success, 2 bad input, 3 numerical
+the command, its inputs and their sha256 digests, the seed, the
+normalization applied, the BLAS thread variables in effect, and library
+versions. Exit codes: 0 success, 2 bad input, 3 numerical
 failure.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -163,6 +165,14 @@ def _write_curve_csv(path: Path, points) -> None:
             fh.write(f"{pt.x:g},{pt.y!r}\n")
 
 
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def write_manifest(args, inputs: dict, extra: dict = None) -> None:
     import numpy
     import scipy
@@ -172,10 +182,12 @@ def write_manifest(args, inputs: dict, extra: dict = None) -> None:
     doc = {
         "command": args.command,
         "inputs": inputs,
+        "input_sha256": {name: _sha256(path) for name, path in inputs.items() if path},
         "seed": args.seed,
         "pcs": args.pcs,
         "format": args.format,
         "normalization": getattr(args, "normalize", "none"),
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "versions": {
             "pcacompress": __version__,
             "numpy": numpy.__version__,
@@ -266,7 +278,7 @@ def _summary_rows(summary, names) -> list:
 def cmd_analyze(args) -> None:
     import numpy as np
 
-    from .linalg import SvdOptions, fit_centered_pca, fit_uncentered_pca
+    from .linalg import fit_centered_pca, fit_uncentered_pca
     from .metrics import (
         ClusterPairTable,
         CurveHistogram,
@@ -280,7 +292,7 @@ def cmd_analyze(args) -> None:
     kprime = _require_pcs(args)
     A, names = _ingest(args)
     fit = fit_centered_pca if args.centered else fit_uncentered_pca
-    P = fit(A, kprime, SvdOptions(seed=args.seed))
+    P = fit(A, kprime, args.seed)
     # one pass fills every sink; only the curve's cut bins take a second
     if A.labels is None:
         # one cluster holding every point: its single cell is every pair
@@ -300,6 +312,7 @@ def cmd_analyze(args) -> None:
         "singular_values": P.singular_values.tolist(),
         "gap_warning": P.gap_warning,
         "svd_driver": P.driver,
+        "svd_residual": P.residual,
         **_pair_fields(args, table.count.sum(), table.recomputed),
     }
     if A.labels is not None:
@@ -353,7 +366,7 @@ def cmd_verify_bounds(args) -> None:
     model = load_model(args.model)
     report = verify_bounds(
         model,
-        seeds=args.seeds,
+        seeds=range(args.seed, args.seed + args.seeds),
         kprime=args.pcs,
         C0=args.c0,
         use_empirical_sk=args.empirical_sk,
@@ -372,12 +385,11 @@ def cmd_verify_bounds(args) -> None:
 
 
 def cmd_compare_centering(args) -> None:
-    from .linalg import SvdOptions
     from .metrics import centering_comparison
 
     kprime = _require_pcs(args)
     A, names = _ingest(args)
-    report = centering_comparison(A, kprime, SvdOptions(seed=args.seed))
+    report = centering_comparison(A, kprime, args.seed)
     out = _out_dir(args)
     doc = {"cosine": report.cosine, "pcs": kprime}
     if report.uncentered is not None:
@@ -432,7 +444,7 @@ def cmd_cluster_compare(args) -> None:
 
 
 def cmd_sweep_pcs(args) -> None:
-    from .linalg import SvdOptions, fit_uncentered_pca
+    from .linalg import fit_uncentered_pca
     from .metrics import pcs_sweep
 
     A, _ = _ingest(args)
@@ -445,7 +457,7 @@ def cmd_sweep_pcs(args) -> None:
     if not grid or grid[0] < 1:
         raise InputError("--grid values must be positive")
 
-    full = fit_uncentered_pca(A, grid[-1], SvdOptions(seed=args.seed))
+    full = fit_uncentered_pca(A, grid[-1], args.seed)
     sweep = pcs_sweep(A, full, grid, _pair_policy(args))
     results = sweep.rows
     out = _out_dir(args)
@@ -466,7 +478,8 @@ def cmd_calibrate_c0(args) -> None:
     from .models import load_model
 
     model = load_model(args.model)
-    calibration = calibrate_c0(model, seeds=args.seeds)
+    seeds = range(args.seed, args.seed + args.seeds)
+    calibration = calibrate_c0(model, seeds=seeds)
     out = _out_dir(args)
     doc = {"c0": calibration.value, "ratios": list(calibration.ratios)}
     if args.format == "json":
@@ -475,7 +488,7 @@ def cmd_calibrate_c0(args) -> None:
         _write_tsv(
             out / "c0.tsv",
             ("seed", "ratio"),
-            [[s, r] for s, r in enumerate(calibration.ratios)] + [["c0", calibration.value]],
+            [[s, r] for s, r in zip(seeds, calibration.ratios)] + [["c0", calibration.value]],
         )
     print(f"{calibration.value!r}")
     write_manifest(args, {"model": args.model}, {"seeds": args.seeds})

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, NumericalError
-from .linalg import DataMatrix, SvdOptions, fit_uncentered_pca, project_columns
+from .linalg import DataMatrix, fit_uncentered_pca, project_columns
 
 _GAIN_EPS = 1e-12
 
@@ -444,7 +444,6 @@ def pipeline_compare(
     kprime: int,
     seeds: Union[int, Sequence[int]],
     neighbors: int = 20,
-    opts: Optional[SvdOptions] = None,
 ) -> ComparisonReport:
     """Score k-means on raw and projected columns plus graph communities.
 
@@ -456,7 +455,7 @@ def pipeline_compare(
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     if not seed_list:
         raise InputError("need at least one seed")
-    P = fit_uncentered_pca(A, kprime, opts)
+    P = fit_uncentered_pca(A, kprime)
     projected = project_columns(P, A).T
     graph = knn_graph(projected, m=neighbors)
     graph_labels = community_detect(graph)

@@ -5,29 +5,32 @@ Projections here are always onto top left singular vectors; "uncentered"
 fits use the raw matrix, "centered" fits subtract the column mean
 implicitly so sparse inputs are never densified by centering.
 
-Two SVD drivers are provided. Small problems (``min(d, n)`` up to the
-dense cutoff) use an exact dense factorization. Larger ones use a seeded
-randomized range finder, which is accurate on the spiked spectra that
-clustered data produces but not on gapless spectra. The default ``auto``
-choice therefore certifies each randomized fit by its a-posteriori
-residual ``||A v_i - s_i u_i|| / s_1`` (Halko, Martinsson & Tropp 2011,
-sections 4.3-4.4) and, when a kept component misses ``RESIDUAL_RTOL``,
-refits with an exact Lanczos solve (``scipy.sparse.linalg.svds``) on the
-same implicit operator.
+Every fit follows one policy, with no caller-chosen driver. A problem
+with ``min(d, n)`` up to ``_DENSE_CUTOFF`` whose input is dense, or
+sparse with at most ``_DENSIFY_BUDGET`` cells, gets an exact dense
+LAPACK factorization. Every other fit runs the chain below. A ``gram``
+or ``randomized`` fit is kept only when each kept component's
+a-posteriori residual, over s_1, is at most ``RESIDUAL_RTOL`` (Halko,
+Martinsson & Tropp 2011, sections 4.3-4.4), and the projector records
+that residual; otherwise the next driver refits:
 
-A caller that already holds the n x n centered Gram matrix of the
-columns (as :func:`centered_gram` returns it) may hand it to an
-uncentered ``auto`` fit, which then runs the ``gram`` driver in place
-of the randomized one: the top k'+1 eigenpairs of the uncentered Gram
-matrix, derived from it, give V and S, and U = A V S^-1 (Halko,
-Martinsson & Tropp 2011, section 5.1). Its adjoint residual
-``||A^T u_i - s_i v_i|| / s_1`` certifies it against the same
-``RESIDUAL_RTOL``; a fit that misses it goes the randomized way above.
+- ``gram``, when the caller holds the n x n centered Gram matrix of the
+  columns (as :func:`centered_gram` returns it) and the fit is
+  uncentered: the top k'+1 eigenpairs of the uncentered Gram matrix,
+  derived from it, give V and S, and U = A V S^-1 (ibid., section 5.1),
+  checked by ``||A^T u_i - s_i v_i|| / s_1``;
+- ``randomized``: a seeded range finder with ``_OVERSAMPLING`` extra
+  columns and ``_POWER_ITERS`` power iterations, accurate on the spiked
+  spectra clustered data produces but not on gapless ones, checked by
+  ``||A v_i - s_i u_i|| / s_1``;
+- ``lanczos``: an exact ARPACK solve (``scipy.sparse.linalg.svds``) on
+  the same implicit operator, or ``dense`` when ARPACK has no room for
+  k'+1 triplets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,15 +45,21 @@ from .errors import InputError
 # flagged as ill-defined.
 GAP_RTOL = 1e-10
 
-# Largest relative residual ||A v_i - s_i u_i|| / s_1 a kept component of a
-# randomized fit may have before ``auto`` replaces the fit by an exact
-# Lanczos solve.
+# Largest relative residual ||A v_i - s_i u_i|| / s_1 (or its adjoint) a
+# kept component of a gram or randomized fit may have before the next
+# driver in line refits.
 RESIDUAL_RTOL = 1e-8
 
+# Largest min(d, n) that gets the exact dense driver.
+_DENSE_CUTOFF = 500
+
 # Budget (entry count) under which a sparse matrix may be densified for
-# the exact dense driver; beyond it the exact driver works on the smaller
-# Gram matrix instead.
+# the exact dense driver; beyond it the certified drivers run instead.
 _DENSIFY_BUDGET = 50_000_000
+
+# Extra sketch columns and power iterations of the randomized range finder.
+_OVERSAMPLING = 10
+_POWER_ITERS = 4
 
 # Entries per densified row block of :func:`centered_row_blocks`.
 _GRAM_BLOCK_ENTRIES = 1 << 20
@@ -126,30 +135,6 @@ class DataMatrix:
 
 
 @dataclass
-class SvdOptions:
-    """Knobs for :func:`truncated_svd`.
-
-    ``driver`` is ``auto`` (dense when ``min(d, n) <= dense_cutoff``,
-    otherwise the Gram driver when the caller supplies the Gram matrix,
-    else randomized; a Gram or randomized fit is certified by its
-    residuals and, when a kept component misses ``RESIDUAL_RTOL``, refit
-    by the next of randomized and exact Lanczos), ``dense``, or
-    ``randomized`` (the range finder alone, unchecked). ``seed`` keys
-    both the range finder's sketch and the Lanczos start vector.
-    """
-
-    driver: str = "auto"
-    oversampling: int = 10
-    power_iters: int = 4
-    seed: int = 0
-    dense_cutoff: int = 500
-
-    def __post_init__(self):
-        if self.driver not in ("auto", "dense", "randomized"):
-            raise InputError(f"unknown SVD driver {self.driver!r}")
-
-
-@dataclass
 class Projector:
     """Top-k' left singular subspace of a fit, with fit metadata.
 
@@ -159,7 +144,9 @@ class Projector:
     subspace is numerically ill-defined and reports should say so.
     ``driver`` names the SVD driver that produced a fit (``dense``,
     ``gram``, ``randomized`` or ``lanczos``); it is None on a hand-built
-    projector.
+    projector. ``residual`` is the largest relative residual of a kept
+    component that certified a ``gram`` or ``randomized`` fit, and None
+    for the exact drivers.
     """
 
     components: np.ndarray
@@ -168,6 +155,7 @@ class Projector:
     mean_vector: Optional[np.ndarray] = None
     gap_warning: bool = False
     driver: Optional[str] = None
+    residual: Optional[float] = None
 
     def __post_init__(self):
         self.components = np.ascontiguousarray(self.components, dtype=np.float64)
@@ -278,16 +266,6 @@ def _complete_orthonormal(U: np.ndarray, d: int, total: int, seed: int) -> np.nd
     return np.hstack([U, extra])
 
 
-def gram(M) -> np.ndarray:
-    """``M^T M`` as a dense array, for a dense or sparse M.
-
-    Pass ``M.T`` for the row Gram matrix ``M M^T``.
-    """
-    if sp.issparse(M):
-        return (M.T @ M).toarray()
-    return M.T @ M
-
-
 def row_sliceable(M):
     """``(R, mean)``: M as a dense or CSR array, whose row slices are cheap, and M's mean column."""
     sparse = sp.issparse(M)
@@ -344,8 +322,8 @@ def _gram_factors(op: _Operator, G: np.ndarray, top: Optional[int] = None):
     V and S come from the eigenpairs of G, and U = A V S^-1 for every
     singular value above 1e-12 s_1; U is completed to orthonormal columns
     past those. Squares the condition number, so the result is exact only
-    where the kept singular values are far from roundoff; callers either
-    reserve it for such spectra or certify it.
+    where the kept singular values are far from roundoff; :func:`_fit`
+    certifies it.
     """
     m = G.shape[0]
     subset = None if top is None else [m - top, m - 1]
@@ -359,51 +337,21 @@ def _gram_factors(op: _Operator, G: np.ndarray, top: Optional[int] = None):
     return _complete_orthonormal(U, op.shape[0], len(s), seed=17), s, V
 
 
-def _gram_svd(op: _Operator):
-    """Exact factors via the smaller Gram matrix; avoids densifying the input.
-
-    Squares the condition number, so it is reserved for spectra where the
-    retained singular values are far from roundoff, which holds for every
-    count-like matrix this package ingests.
-    """
-    d, n = op.shape
-    A, c = op.values, op.mean
-    if n <= d:
-        G = gram(A)
-        if c is not None:
-            cross = np.asarray(A.T @ c).ravel()
-            G = G - cross[:, None] - cross[None, :] + float(c @ c)
-        U, s, _ = _gram_factors(op, G)
-        return U, s
-    G = gram(A.T)
-    if c is not None:
-        # Row means make the centered cross terms collapse: the centered
-        # outer product is A A^T - n c c^T.
-        G = G - n * np.outer(c, c)
-    w, U = scipy.linalg.eigh(G)
-    order = np.argsort(w)[::-1]
-    return U[:, order], np.sqrt(np.clip(w[order], 0.0, None))
-
-
 def _dense_svd(op: _Operator):
-    values = op.values
-    if sp.issparse(values):
-        if values.shape[0] * values.shape[1] > _DENSIFY_BUDGET:
-            return _gram_svd(op)
-        values = values.toarray()
+    values = op.values.toarray() if sp.issparse(op.values) else op.values
     if op.mean is not None:
         values = values - op.mean[:, None]
     U, s, _ = scipy.linalg.svd(values, full_matrices=False)
     return U, s
 
 
-def _randomized_svd(op: _Operator, k: int, opts: SvdOptions):
+def _randomized_svd(op: _Operator, k: int, seed: int):
     d, n = op.shape
-    ell = min(k + opts.oversampling, min(d, n))
-    rng = np.random.Generator(np.random.Philox(opts.seed))
+    ell = min(k + _OVERSAMPLING, min(d, n))
+    rng = np.random.Generator(np.random.Philox(seed))
     sketch = rng.standard_normal((n, ell))
     Q, _ = np.linalg.qr(op.matmat(sketch))
-    for _ in range(opts.power_iters):
+    for _ in range(_POWER_ITERS):
         Z, _ = np.linalg.qr(op.rmatmat(Q))
         Q, _ = np.linalg.qr(op.matmat(Z))
     B = op.rmatmat(Q).T
@@ -411,14 +359,16 @@ def _randomized_svd(op: _Operator, k: int, opts: SvdOptions):
     return Q @ Ub, s, Vbt.T
 
 
-def _certified(residual: np.ndarray, s: np.ndarray) -> bool:
-    """Whether every column of a residual block is within ``RESIDUAL_RTOL * s_1``.
+def _residual(block: np.ndarray, s: np.ndarray) -> float:
+    """Largest column norm of a residual block, relative to s_1.
 
     The block is ``A V - U S`` for range-finder output and ``A^T U - V S``
     for Gram output, over the kept triplets; the other residual of each
-    is zero by construction, so it certifies nothing.
+    is zero by construction, so it certifies nothing. Only a zero matrix
+    has s_1 = 0, and its residual is 0.
     """
-    return bool(np.linalg.norm(residual, axis=0).max() <= RESIDUAL_RTOL * s[0])
+    top = float(np.linalg.norm(block, axis=0).max())
+    return top / float(s[0]) if top else 0.0
 
 
 def _lanczos_svd(op: _Operator, k: int, seed: int):
@@ -451,30 +401,29 @@ def _uncentered_gram(M, G: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return G + cross[:, None] + (cross - float(mean @ mean))[None, :]
 
 
-def _fit(A: DataMatrix, k: int, opts: Optional[SvdOptions], mean=None, gram=None) -> Projector:
-    opts = opts or SvdOptions()
+def _fit(A: DataMatrix, k: int, seed: int, mean=None, gram=None) -> Projector:
     d, n = A.d, A.n
     if not 1 <= k <= min(d, n):
         raise InputError(f"k'={k} out of range for a {d}x{n} matrix")
     op = _Operator(A.values, mean)
-    driver = opts.driver
-    if driver == "auto":
-        driver = "dense" if min(d, n) <= opts.dense_cutoff else "randomized"
-        if driver == "randomized" and gram is not None:
+    driver, residual = "dense", None
+    if min(d, n) > _DENSE_CUTOFF or (A.is_sparse and d * n > _DENSIFY_BUDGET):
+        if gram is not None:
             U, s, V = _gram_factors(op, _uncentered_gram(A.values, *gram), min(k + 1, n))
-            if _certified(op.rmatmat(U[:, :k]) - V[:, :k] * s[:k], s):
-                driver = "gram"
-    if driver == "randomized":
-        U, s, V = _randomized_svd(op, k, opts)
-        if opts.driver == "auto" and not _certified(op.matmat(V[:, :k]) - U[:, :k] * s[:k], s):
+            driver, residual = "gram", _residual(op.rmatmat(U[:, :k]) - V[:, :k] * s[:k], s)
+        if residual is None or residual > RESIDUAL_RTOL:
+            U, s, V = _randomized_svd(op, k, seed)
+            driver, residual = "randomized", _residual(op.matmat(V[:, :k]) - U[:, :k] * s[:k], s)
+        if residual > RESIDUAL_RTOL:
             # ARPACK cannot return min(d, n) triplets; that case is
-            # reachable only with zero oversampling, since otherwise the
+            # reachable only when _OVERSAMPLING is 0, since otherwise the
             # sketch spans the whole range and is certified
             driver = "lanczos" if k + 1 < min(d, n) else "dense"
+            residual = None
     if driver == "dense":
         U, s = _dense_svd(op)
     elif driver == "lanczos":
-        U, s = _lanczos_svd(op, k, opts.seed)
+        U, s = _lanczos_svd(op, k, seed)
     s_next = s[k] if k < len(s) else None
     warn = s_next is not None and (s[k - 1] - s_next) <= GAP_RTOL * s[0]
     U = _apply_sign_convention(U[:, :k].copy())
@@ -485,36 +434,34 @@ def _fit(A: DataMatrix, k: int, opts: Optional[SvdOptions], mean=None, gram=None
         mean_vector=mean,
         gap_warning=bool(warn),
         driver=driver,
+        residual=residual,
     )
 
 
-def truncated_svd(
-    A: DataMatrix, k: int, opts: Optional[SvdOptions] = None, gram=None
-) -> Projector:
+def truncated_svd(A: DataMatrix, k: int, seed: int = 0, gram=None) -> Projector:
     """Top-k left singular vectors and singular values of A.
 
-    ``gram``, the ``(G, mean)`` pair :func:`centered_gram` returns for
-    ``A.values``, lets an ``auto`` fit that would otherwise be randomized
-    take the Gram driver instead; see the module docstring.
+    ``seed`` keys the range finder's sketch and the Lanczos start
+    vector. ``gram``, the ``(G, mean)`` pair :func:`centered_gram`
+    returns for ``A.values``, lets a fit past the dense driver try the
+    Gram driver first; see the module docstring.
     """
-    return _fit(A, k, opts, mean=None, gram=gram)
+    return _fit(A, k, seed, gram=gram)
 
 
-def fit_uncentered_pca(
-    A: DataMatrix, k: int, opts: Optional[SvdOptions] = None, gram=None
-) -> Projector:
+def fit_uncentered_pca(A: DataMatrix, k: int, seed: int = 0, gram=None) -> Projector:
     """PCA without mean subtraction; identical to :func:`truncated_svd`."""
-    return truncated_svd(A, k, opts, gram)
+    return truncated_svd(A, k, seed, gram)
 
 
-def fit_centered_pca(A: DataMatrix, k: int, opts: Optional[SvdOptions] = None) -> Projector:
+def fit_centered_pca(A: DataMatrix, k: int, seed: int = 0) -> Projector:
     """PCA of the column-centered matrix; centering is implicit.
 
     The mean vector is stored on the projector and re-applied at
     projection time, so distances between projected pairs are unaffected
     by it (the translation cancels).
     """
-    return _fit(A, k, opts, mean=A.row_means())
+    return _fit(A, k, seed, mean=A.row_means())
 
 
 def project(P: Projector, u: np.ndarray) -> np.ndarray:
@@ -550,8 +497,11 @@ def spectral_norm(M) -> float:
         M = np.asarray(M, dtype=np.float64)
         if M.ndim != 2:
             raise InputError("spectral_norm expects a 2-dimensional matrix")
-    d, n = M.shape
-    return float(np.sqrt(max(top_eigenvalue(gram(M if n <= d else M.T)), 0.0)))
+    small = M if M.shape[1] <= M.shape[0] else M.T
+    G = small.T @ small
+    if sp.issparse(G):
+        G = G.toarray()
+    return float(np.sqrt(max(top_eigenvalue(G), 0.0)))
 
 
 def top_eigenvalue(G: np.ndarray) -> float:

@@ -665,7 +665,7 @@ class CenteringReport:
     ratio_deltas: Optional[dict]
 
 
-def centering_comparison(A: DataMatrix, k: int, opts=None) -> CenteringReport:
+def centering_comparison(A: DataMatrix, k: int, seed: int = 0) -> CenteringReport:
     """How much centering changes the fit: mean alignment and table deltas.
 
     The cosine compares the top uncentered component with the mean
@@ -675,8 +675,8 @@ def centering_comparison(A: DataMatrix, k: int, opts=None) -> CenteringReport:
     """
     from .linalg import fit_centered_pca, fit_uncentered_pca
 
-    unc = fit_uncentered_pca(A, k, opts)
-    cen = fit_centered_pca(A, k, opts)
+    unc = fit_uncentered_pca(A, k, seed)
+    cen = fit_centered_pca(A, k, seed)
     mean = A.row_means()
     norm = np.linalg.norm(mean)
     cosine = None if norm == 0 else float(abs(unc.components[0] @ mean) / norm)

@@ -31,7 +31,6 @@ from pcacompress.cluster import pipeline_compare
 from pcacompress.linalg import (
     DataMatrix,
     Projector,
-    SvdOptions,
     build_symmetric_embedding,
     fit_uncentered_pca,
     principal_angle,
@@ -62,7 +61,7 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 def ratio_split(A, kprime: int, seed: int):
     """Finite intra and inter compression ratios of one dataset."""
-    P = fit_uncentered_pca(A, kprime, SvdOptions(seed=seed))
+    P = fit_uncentered_pca(A, kprime, seed=seed)
     pairs = pair_compression(A, P)
     finite = ~pairs.degenerate
     return pairs.ratio[finite & pairs.same], pairs.ratio[finite & ~pairs.same]
@@ -276,7 +275,7 @@ def test_07_extra_pc_budget():
         budget = check.budget
         worst = max(worst, check.exceedances)
     A = generate_dataset(model, seed=0)
-    P = fit_uncentered_pca(A, model.k + 3, SvdOptions(seed=0))
+    P = fit_uncentered_pca(A, model.k + 3, seed=0)
     split = extra_pc_split(A, P, model.k)
     post_sq = split.post**2
     mismatch = np.abs(split.leading**2 + split.trailing**2 - post_sq)
@@ -297,7 +296,7 @@ def test_08_top_decile_curve():
     values = []
     for seed in range(10):
         A = generate_dataset(model, seed=seed)
-        P = fit_uncentered_pca(A, model.k, SvdOptions(seed=seed))
+        P = fit_uncentered_pca(A, model.k, seed=seed)
         pairs = pair_compression(A, P)
         y = intra_fraction_curve(pairs, grid=np.array([0.10]))[0].y
         values.append(y)
@@ -362,7 +361,7 @@ def test_11_pc_count_robustness():
     model = sbm_rectangular(**GAP_MODEL)
     A = generate_dataset(model, seed=0)
     grid = (model.k, model.k + 5, model.k + 15)
-    full = fit_uncentered_pca(A, grid[-1], SvdOptions(seed=0))
+    full = fit_uncentered_pca(A, grid[-1], seed=0)
     gaps = {}
     for kprime in grid:
         P = Projector(full.components[:kprime], full.singular_values[:kprime])
@@ -401,7 +400,7 @@ def test_12_sparse_performance(tmp_path):
     started = time.monotonic()
     A, _ = load_matrix(IngestSpec(mpath, labels=lpath))
     A = log_normalize(A)
-    P = fit_uncentered_pca(A, 25, SvdOptions(seed=0))
+    P = fit_uncentered_pca(A, 25, seed=0)
     summary = cluster_summary(pair_compression(A, P))
     elapsed = time.monotonic() - started
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2
@@ -435,7 +434,7 @@ def test_13_reference_table_row():
             break
     assert matrix and labels, f"no matrix/labels files under {root}"
     A, _ = load_matrix(IngestSpec(matrix, labels=labels, normalization="log1p"))
-    P = fit_uncentered_pca(A, 25, SvdOptions(seed=0))
+    P = fit_uncentered_pca(A, 25, seed=0)
     summary = cluster_summary(pair_compression(A, P))
     row = next(r for r in summary.rows if r.size == 43)
     got = (

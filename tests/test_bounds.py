@@ -28,7 +28,7 @@ from pcacompress.bounds import (
     verify_bounds,
 )
 from pcacompress.errors import InputError
-from pcacompress.linalg import SvdOptions, fit_uncentered_pca
+from pcacompress.linalg import fit_uncentered_pca
 from pcacompress.models import (
     NoiseSpec,
     RandomVectorModel,
@@ -583,10 +583,13 @@ class TestVerifyBounds:
 class TestOneGramPerSeed:
     """verify_bounds forms one centered Gram matrix per seed and reads everything off it."""
 
-    # n = 45 lies above dense_cutoff = 20, where auto would otherwise
-    # run the randomized fit
+    # n = 45 lies above a dense cutoff of 20, where the fit would
+    # otherwise run the randomized driver
     MODEL = dict(d=600, sizes=[12, 15, 18], p=0.7, q=0.3)
-    OPTS = SvdOptions(dense_cutoff=20)
+
+    @pytest.fixture(autouse=True)
+    def low_dense_cutoff(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_DENSE_CUTOFF", 20)
 
     def count_calls(self, monkeypatch):
         """Counts Gram products of a d-row draw (not of the projection) and randomized fits."""
@@ -616,25 +619,17 @@ class TestOneGramPerSeed:
     def test_one_gram_product_and_no_randomized_fit_per_seed(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         model = sbm_rectangular(**self.MODEL)
-        report = verify_bounds(model, seeds=[3, 4], kprime=4, opts=self.OPTS)
+        report = verify_bounds(model, seeds=[3, 4], kprime=4)
         assert calls == {"gram": 2, "randomized": 0}
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["fit_drivers"] == ["gram", "gram"]
+        assert all(0.0 <= r <= linalg.RESIDUAL_RTOL for r in doc["fit_residuals"])
         assert doc["noise_norm_sources"] == ["gram", "gram"]
-
-    def test_explicit_driver_still_runs_the_randomized_fit(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
-        report = verify_bounds(
-            sbm_rectangular(**self.MODEL), seeds=[3, 4], kprime=4,
-            opts=SvdOptions(driver="randomized"),
-        )
-        assert calls == {"gram": 2, "randomized": 2}
-        assert report.fit_drivers == ["randomized", "randomized"]
 
     def test_empirical_extremes_match_dense_svd_oracle(self):
         model = sbm_rectangular(**self.MODEL)
         seeds, kprime = [3, 4], 4
-        report = verify_bounds(model, seeds=seeds, kprime=kprime, opts=self.OPTS)
+        report = verify_bounds(model, seeds=seeds, kprime=kprime)
         assert report.fit_drivers == ["gram", "gram"]
         worst = {}
 

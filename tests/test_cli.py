@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, manifests, file layouts, round trips."""
 
+import hashlib
 import json
 import os
 import re
@@ -127,6 +128,22 @@ class TestManifest:
         for lib in ("pcacompress", "numpy", "scipy", "python"):
             assert lib in doc["versions"]
 
+    def test_records_thread_variables_and_input_digests(self, monkeypatch, dataset, tmp_path):
+        matrix, labels = dataset
+        for var in cli.THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        out = tmp_path / "out"
+        args = ["--matrix", str(matrix), "--labels", str(labels), "--pcs", "2"]
+        assert cli.main(["analyze", *args, "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["threads"] == {var: "1" if var == "OMP_NUM_THREADS" else None
+                                  for var in cli.THREAD_VARS}
+        assert doc["input_sha256"] == {
+            name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in (("matrix", matrix), ("labels", labels))
+        }
+
     def test_every_subcommand_writes_one(self, model_path, tmp_path):
         out = tmp_path / "cal"
         code = cli.main(
@@ -247,6 +264,7 @@ class TestAnalyzeOutputs:
         assert outs["exact"]["pair_count"] == 24 * 23 // 2
         assert outs["sampled"]["pair_count"] == 50
         assert outs["exact"]["svd_driver"] == "dense"
+        assert outs["exact"]["svd_residual"] is None
         assert outs["exact"]["pair_policy"] == "exact"
         assert outs["sampled"]["pair_policy"] == {"sampled": 50, "seed": 0}
         # sampled pairs are all direct differences: none is a recompute
@@ -280,7 +298,7 @@ class TestRoundTripOracle:
     def test_simulated_files_reproduce_in_memory_summary(self, dataset, tmp_path):
         import scipy.sparse as sp
 
-        from pcacompress.linalg import DataMatrix, SvdOptions, fit_uncentered_pca
+        from pcacompress.linalg import DataMatrix, fit_uncentered_pca
         from pcacompress.metrics import cluster_summary, pair_compression
         from pcacompress.models import RandomVectorModel, generate_dataset
 
@@ -304,7 +322,7 @@ class TestRoundTripOracle:
         # but dense and sparse matmuls sum in different orders).
         dense = generate_dataset(RandomVectorModel.from_dict(MODEL), seed=11)
         A = DataMatrix(sp.csc_array(dense.values), labels=dense.labels)
-        P = fit_uncentered_pca(A, 3, SvdOptions(seed=0))
+        P = fit_uncentered_pca(A, 3, seed=0)
         summary = cluster_summary(pair_compression(A, P))
         for row in summary.rows:
             got = from_files["clusters"][row.cluster]
@@ -334,6 +352,34 @@ class TestOtherCommands:
         assert "pre-inter-upper" in names
         assert "noise-norm" in names
         assert doc["trials"] == 2
+        assert doc["fit_drivers"] == ["dense", "dense"]
+        assert doc["fit_residuals"] == [None, None]
+
+    def test_seed_offsets_bound_and_calibration_draws(self, model_path, tmp_path):
+        from pcacompress.bounds import calibrate_c0, verify_bounds
+        from pcacompress.models import load_model
+
+        model = load_model(str(model_path))
+        docs = {}
+        for seed in ("0", "5"):
+            out = tmp_path / seed
+            common = ["--model", str(model_path), "--seeds", "2", "--seed", seed]
+            assert cli.main(["verify-bounds", *common, "--out-dir", str(out)]) == 0
+            assert cli.main(["calibrate-c0", *common, "--out-dir", str(out)]) == 0
+            assert cli.main(["calibrate-c0", *common, "--format", "tsv", "--out-dir", str(out)]) == 0
+            docs[seed] = [json.loads((out / name).read_text()) for name in ("bounds.json", "c0.json")]
+        assert docs["0"] != docs["5"]
+        bounds_doc, c0_doc = docs["5"]
+        assert bounds_doc == json.loads(json.dumps(verify_bounds(model, seeds=[5, 6]).to_dict()))
+        assert c0_doc["ratios"] == calibrate_c0(model, seeds=[5, 6]).ratios.tolist()
+        rows = (tmp_path / "5" / "c0.tsv").read_text().splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["seed", "5", "6", "c0"]
+
+    @pytest.mark.parametrize("command", ["verify-bounds", "calibrate-c0"])
+    def test_zero_seeds_is_input_error(self, command, model_path, tmp_path, capsys):
+        args = [command, "--model", str(model_path), "--seeds", "0", "--out-dir", str(tmp_path)]
+        assert cli.main(args) == 2
+        assert "need at least one seed" in capsys.readouterr().err
 
     def test_compare_centering_reports_cosine_and_deltas(self, dataset, tmp_path):
         matrix, labels = dataset

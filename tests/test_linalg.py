@@ -76,10 +76,12 @@ class TestTruncatedSvd:
         assert la.principal_angle(P, oracle) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_randomized_driver_on_spiked_input(self, seed):
+    def test_randomized_driver_on_spiked_input(self, monkeypatch, seed):
+        monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
         M = spiked_matrix(150, 700, rank=6, noise=1e-4, seed=seed)
         A = la.DataMatrix(M)
-        P = la.truncated_svd(A, 6, la.SvdOptions(driver="randomized", seed=seed))
+        P = la.truncated_svd(A, 6, seed)
+        assert P.driver == "randomized"
         U, s, _ = scipy.linalg.svd(M, full_matrices=False)
         np.testing.assert_allclose(P.singular_values, s[:6], rtol=1e-8)
         assert la.principal_angle(P, la.Projector(U[:, :6].T, s[:6])) <= 1e-6
@@ -90,9 +92,9 @@ class TestTruncatedSvd:
         M = np.random.default_rng(7).standard_normal((600, 600))
         A = la.DataMatrix(M)
         P = la.truncated_svd(A, 20)
-        dense = la.truncated_svd(A, 20, la.SvdOptions(driver="dense"))
-        np.testing.assert_allclose(P.singular_values, dense.singular_values, rtol=1e-8)
-        assert la.principal_angle(P, dense) <= 1e-6
+        U, s, _ = scipy.linalg.svd(M, full_matrices=False)
+        np.testing.assert_allclose(P.singular_values, s[:20], rtol=1e-8)
+        assert la.principal_angle(P, la.Projector(U[:, :20].T, s[:20])) <= 1e-6
         again = la.truncated_svd(A, 20)
         assert P.components.tobytes() == again.components.tobytes()
         assert P.singular_values.tobytes() == again.singular_values.tobytes()
@@ -105,12 +107,13 @@ class TestTruncatedSvd:
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:6], rtol=1e-8)
 
-    def test_uncertified_fit_without_lanczos_room_goes_dense(self):
+    def test_uncertified_fit_without_lanczos_room_goes_dense(self, monkeypatch):
         # with no oversampling the sketch misses the flat spectrum, and
         # ARPACK cannot return k'+1 = min(d, n) triplets
+        monkeypatch.setattr(la, "_OVERSAMPLING", 0)
+        monkeypatch.setattr(la, "_DENSE_CUTOFF", 5)
         M = np.random.default_rng(4).standard_normal((30, 20))
-        opts = la.SvdOptions(oversampling=0, dense_cutoff=5)
-        P = la.truncated_svd(la.DataMatrix(M), 19, opts)
+        P = la.truncated_svd(la.DataMatrix(M), 19)
         assert P.driver == "dense"
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:19], rtol=1e-10)
@@ -137,7 +140,19 @@ class TestTruncatedSvd:
 
 
 class TestGramSvd:
-    """The exact driver on a sparse input too large to densify."""
+    """A sparse input too large to densify takes the certified drivers, not a Gram shortcut."""
+
+    def fit_oracle(self, monkeypatch, M, k, centered):
+        monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
+        fit = la.fit_centered_pca if centered else la.fit_uncentered_pca
+        P = fit(la.DataMatrix(sp.csc_array(M)), k)
+        assert P.driver in ("randomized", "lanczos")
+        if centered:
+            M = M - M.mean(axis=1, keepdims=True)
+        U, s, _ = scipy.linalg.svd(M, full_matrices=False)
+        np.testing.assert_allclose(P.singular_values, s[:k], rtol=1e-10)
+        assert la.principal_angle(P, la.Projector(U[:, :k].T, s[:k])) <= 1e-8
+        return P
 
     @pytest.mark.parametrize("shape", [(80, 50), (50, 80)], ids=["n<=d", "n>d"])
     @pytest.mark.parametrize("centered", [False, True], ids=["uncentered", "centered"])
@@ -145,36 +160,38 @@ class TestGramSvd:
         d, n = shape
         M = spiked_matrix(d, n, rank=4, noise=1e-3, seed=5)
         M *= np.random.default_rng(6).random((d, n)) < 0.4
-        A = la.DataMatrix(sp.csc_array(M))
-        calls = []
-        real = la._gram_svd
-        monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
-        monkeypatch.setattr(la, "_gram_svd", lambda op: calls.append(op.shape) or real(op))
-        fit = la.fit_centered_pca if centered else la.fit_uncentered_pca
-        P = fit(A, 4)
-        assert calls == [(d, n)]
-        assert P.driver == "dense"
-        if centered:
-            M = M - M.mean(axis=1, keepdims=True)
-        U, s, _ = scipy.linalg.svd(M, full_matrices=False)
-        np.testing.assert_allclose(P.singular_values, s[:4], rtol=1e-10)
-        assert la.principal_angle(P, la.Projector(U[:, :4].T, s[:4])) <= 1e-8
+        self.fit_oracle(monkeypatch, M, 4, centered)
+
+    @pytest.mark.parametrize("shape", [(400, 120), (120, 400)], ids=["tall", "wide"])
+    def test_ill_conditioned_input_keeps_full_precision(self, monkeypatch, shape):
+        # singular values 1e4 down to 0.1 over a 1e-3 floor: squaring the
+        # condition number in a Gram product costs s_1..s_6 about 3e-8
+        d, n = shape
+        r = min(d, n)
+        rng = np.random.default_rng(14)
+        left = scipy.linalg.qr(rng.standard_normal((d, r)), mode="economic")[0]
+        right = scipy.linalg.qr(rng.standard_normal((n, r)), mode="economic")[0]
+        spectrum = np.full(r, 1e-3)
+        spectrum[:6] = [1e4, 1e3, 1e2, 10.0, 1.0, 0.1]
+        M = left @ (spectrum[:, None] * right.T)
+        P = self.fit_oracle(monkeypatch, M, 6, centered=False)
+        assert P.driver == "randomized" and P.residual <= la.RESIDUAL_RTOL
 
 
 class TestGramFit:
     """The uncentered ``auto`` fit read off a caller's centered Gram matrix."""
 
-    def test_matches_dense_oracle_when_d_far_above_n(self):
+    def test_matches_dense_oracle_when_d_far_above_n(self, monkeypatch):
+        monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
         M = spiked_matrix(1500, 120, rank=3, noise=1e-2, seed=8) + 5.0
         A = la.DataMatrix(M)
-        opts = la.SvdOptions(dense_cutoff=100)
-        P = la.fit_uncentered_pca(A, 3, opts, gram=la.centered_gram(M))
+        P = la.fit_uncentered_pca(A, 3, gram=la.centered_gram(M))
         assert P.driver == "gram"
         U, s, _ = scipy.linalg.svd(M, full_matrices=False)
         np.testing.assert_allclose(P.singular_values, s[:3], rtol=1e-10)
         assert la.principal_angle(P, la.Projector(U[:, :3].T, s[:3])) <= 1e-8
         assert not P.gap_warning
-        without = la.fit_uncentered_pca(A, 3, opts)
+        without = la.fit_uncentered_pca(A, 3)
         assert without.driver == "randomized"
         assert la.principal_angle(P, without) <= 1e-8
 
@@ -187,25 +204,44 @@ class TestGramFit:
         G_sparse, _ = la.centered_gram(sp.csc_array(M))
         np.testing.assert_allclose(G_sparse, G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
 
-    def test_explicit_driver_ignores_the_gram_matrix(self):
-        M = spiked_matrix(400, 60, rank=2, noise=1e-3, seed=10)
-        A = la.DataMatrix(M)
-        gram = la.centered_gram(M)
-        for driver in ("randomized", "dense"):
-            opts = la.SvdOptions(driver=driver, dense_cutoff=10)
-            P = la.fit_uncentered_pca(A, 2, opts, gram=gram)
-            assert P.driver == driver
-
-    def test_uncertified_gram_fit_falls_back(self):
+    def test_uncertified_gram_fit_falls_back(self, monkeypatch):
         # a Gram matrix that is not A's own gives factors whose adjoint
-        # residual is far off, so auto refits without it
+        # residual is far off, so the fit refits without it
+        monkeypatch.setattr(la, "_DENSE_CUTOFF", 10)
         M = spiked_matrix(400, 60, rank=2, noise=1e-3, seed=11)
         A = la.DataMatrix(M)
         G, mean = la.centered_gram(M)
-        P = la.fit_uncentered_pca(A, 2, la.SvdOptions(dense_cutoff=10), gram=(G * 1.01, mean))
+        P = la.fit_uncentered_pca(A, 2, gram=(G * 1.01, mean))
         assert P.driver == "randomized"
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:2], rtol=1e-8)
+
+
+class TestFitResidual:
+    """``Projector.residual`` records what certified a fit, and only such a fit."""
+
+    def test_certified_fits_record_a_residual_within_tolerance(self, monkeypatch):
+        monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
+        M = spiked_matrix(400, 150, rank=3, noise=1e-3, seed=15)
+        A = la.DataMatrix(M)
+        fits = [
+            la.fit_uncentered_pca(A, 3, gram=la.centered_gram(M)),
+            la.fit_uncentered_pca(A, 3),
+            la.fit_centered_pca(A, 3),
+            la.fit_uncentered_pca(la.DataMatrix(sp.csc_array(M)), 3),
+        ]
+        assert [P.driver for P in fits] == ["gram", "randomized", "randomized", "randomized"]
+        for P in fits:
+            assert 0.0 < P.residual <= la.RESIDUAL_RTOL
+        zero = la.fit_uncentered_pca(la.DataMatrix(np.zeros((150, 120))), 3)
+        assert zero.driver == "randomized" and zero.residual == 0.0
+
+    def test_exact_fits_record_none(self, monkeypatch):
+        M = np.random.default_rng(16).standard_normal((200, 150))
+        assert la.truncated_svd(la.DataMatrix(M), 10).residual is None
+        monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
+        P = la.truncated_svd(la.DataMatrix(M), 10)
+        assert P.driver == "lanczos" and P.residual is None
 
 
 class TestPcaFits:
