@@ -7,9 +7,10 @@ imported numpy yet, which is true for the console entry point.
 
 Every run writes ``manifest.json`` into the output directory recording
 the command, its inputs and their sha256 digests, the seed, the
-normalization applied, the BLAS thread variables in effect, and library
-versions. Exit codes: 0 success, 2 bad input, 3 numerical
-failure.
+normalization applied, the BLAS thread variables in effect, library
+versions, and for a command that fits (``analyze``, ``sweep-pcs``) the
+fit's SVD driver, certifying residual and gap warning. Exit codes:
+0 success, 2 bad input, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -236,6 +237,11 @@ def _pair_fields(args, pair_count, recomputed) -> dict:
     }
 
 
+def _fit_record(P) -> dict:
+    """The fit's SVD driver, certifying residual and gap warning, for the manifest."""
+    return {"driver": P.driver, "residual": P.residual, "gap_warning": P.gap_warning}
+
+
 def _cluster_name(names, cluster: int) -> str:
     return names[cluster] if cluster < len(names) else f"C{cluster + 1}"
 
@@ -338,7 +344,7 @@ def cmd_analyze(args) -> None:
         doc["overall"] = {key: getattr(overall, key) for key in keys}
     if args.format == "json":
         _write_json(out / "analysis.json", doc)
-    write_manifest(args, {"matrix": args.matrix, "labels": args.labels})
+    write_manifest(args, {"matrix": args.matrix, "labels": args.labels}, {"fit": _fit_record(P)})
 
 
 def cmd_simulate(args) -> None:
@@ -470,7 +476,9 @@ def cmd_sweep_pcs(args) -> None:
             ("pcs", "intra_ratio_avg", "inter_ratio_avg", "gap"),
             [[r["pcs"], r["intra_ratio_avg"], r["inter_ratio_avg"], r["gap"]] for r in results],
         )
-    write_manifest(args, {"matrix": args.matrix, "labels": args.labels}, {"grid": grid})
+    write_manifest(
+        args, {"matrix": args.matrix, "labels": args.labels}, {"grid": grid, "fit": _fit_record(full)}
+    )
 
 
 def cmd_calibrate_c0(args) -> None:

@@ -8,24 +8,23 @@ implicitly so sparse inputs are never densified by centering.
 Every fit follows one policy, with no caller-chosen driver. A problem
 with ``min(d, n)`` up to ``_DENSE_CUTOFF`` whose input is dense, or
 sparse with at most ``_DENSIFY_BUDGET`` cells, gets an exact dense
-LAPACK factorization. Every other fit runs the chain below. A ``gram``
-or ``randomized`` fit is kept only when each kept component's
-a-posteriori residual, over s_1, is at most ``RESIDUAL_RTOL`` (Halko,
-Martinsson & Tropp 2011, sections 4.3-4.4), and the projector records
-that residual; otherwise the next driver refits:
+LAPACK factorization. Every other fit runs one of two drivers:
 
 - ``gram``, when the caller holds the n x n centered Gram matrix of the
   columns (as :func:`centered_gram` returns it) and the fit is
   uncentered: the top k'+1 eigenpairs of the uncentered Gram matrix,
-  derived from it, give V and S, and U = A V S^-1 (ibid., section 5.1),
-  checked by ``||A^T u_i - s_i v_i|| / s_1``;
-- ``randomized``: a seeded range finder with ``_OVERSAMPLING`` extra
-  columns and ``_POWER_ITERS`` power iterations, accurate on the spiked
-  spectra clustered data produces but not on gapless ones, checked by
-  ``||A v_i - s_i u_i|| / s_1``;
-- ``lanczos``: an exact ARPACK solve (``scipy.sparse.linalg.svds``) on
-  the same implicit operator, or ``dense`` when ARPACK has no room for
-  k'+1 triplets.
+  derived from it, give V and S, and U = A V S^-1 (Halko, Martinsson &
+  Tropp 2011, section 5.1). It is kept only when each kept component's
+  a-posteriori residual ``||A^T u_i - s_i v_i|| / s_1`` is at most
+  ``RESIDUAL_RTOL`` (ibid., sections 4.3-4.4), and the projector
+  records that residual;
+- otherwise ``lanczos``: an exact ARPACK solve
+  (``scipy.sparse.linalg.svds``) on the implicit operator, or ``dense``
+  when ARPACK has no room for k'+1 triplets.
+
+Lanczos is the one iterative driver: the cut k' a report asks about lies
+past the spiked components, in the flat noise bulk, where a range
+finder's sketch cannot reach ``RESIDUAL_RTOL`` (ibid.).
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ from .errors import InputError
 # flagged as ill-defined.
 GAP_RTOL = 1e-10
 
-# Largest relative residual ||A v_i - s_i u_i|| / s_1 (or its adjoint) a
-# kept component of a gram or randomized fit may have before the next
-# driver in line refits.
+# Largest relative residual ||A^T u_i - s_i v_i|| / s_1 a kept component
+# of a gram fit may have before Lanczos refits.
 RESIDUAL_RTOL = 1e-8
 
 # Largest min(d, n) that gets the exact dense driver.
@@ -56,10 +54,6 @@ _DENSE_CUTOFF = 500
 # Budget (entry count) under which a sparse matrix may be densified for
 # the exact dense driver; beyond it the certified drivers run instead.
 _DENSIFY_BUDGET = 50_000_000
-
-# Extra sketch columns and power iterations of the randomized range finder.
-_OVERSAMPLING = 10
-_POWER_ITERS = 4
 
 # Entries per densified row block of :func:`centered_row_blocks`.
 _GRAM_BLOCK_ENTRIES = 1 << 20
@@ -143,10 +137,9 @@ class Projector:
     ``s_k' - s_{k'+1}``, is at most ``GAP_RTOL * s_1``, in which case the
     subspace is numerically ill-defined and reports should say so.
     ``driver`` names the SVD driver that produced a fit (``dense``,
-    ``gram``, ``randomized`` or ``lanczos``); it is None on a hand-built
-    projector. ``residual`` is the largest relative residual of a kept
-    component that certified a ``gram`` or ``randomized`` fit, and None
-    for the exact drivers.
+    ``gram`` or ``lanczos``); it is None on a hand-built projector.
+    ``residual`` is the largest relative residual of a kept component
+    that certified a ``gram`` fit, and None for the exact drivers.
     """
 
     components: np.ndarray
@@ -345,38 +338,41 @@ def _dense_svd(op: _Operator):
     return U, s
 
 
-def _randomized_svd(op: _Operator, k: int, seed: int):
-    d, n = op.shape
-    ell = min(k + _OVERSAMPLING, min(d, n))
-    rng = np.random.Generator(np.random.Philox(seed))
-    sketch = rng.standard_normal((n, ell))
-    Q, _ = np.linalg.qr(op.matmat(sketch))
-    for _ in range(_POWER_ITERS):
-        Z, _ = np.linalg.qr(op.rmatmat(Q))
-        Q, _ = np.linalg.qr(op.matmat(Z))
-    B = op.rmatmat(Q).T
-    Ub, s, Vbt = scipy.linalg.svd(B, full_matrices=False)
-    return Q @ Ub, s, Vbt.T
-
-
 def _residual(block: np.ndarray, s: np.ndarray) -> float:
     """Largest column norm of a residual block, relative to s_1.
 
-    The block is ``A V - U S`` for range-finder output and ``A^T U - V S``
-    for Gram output, over the kept triplets; the other residual of each
-    is zero by construction, so it certifies nothing. Only a zero matrix
-    has s_1 = 0, and its residual is 0.
+    The block is ``A^T U - V S`` of Gram output over the kept triplets;
+    ``A V - U S`` is zero by construction, so it certifies nothing. Only
+    a zero matrix has s_1 = 0, and its residual is 0.
     """
     top = float(np.linalg.norm(block, axis=0).max())
     return top / float(s[0]) if top else 0.0
+
+
+def _is_zero(op: _Operator) -> bool:
+    """Whether op is exactly zero: A is, or every column of A equals the mean."""
+    M, mean = op.values, op.mean
+    if mean is None:
+        return not (M.data if sp.issparse(M) else M).any()
+    if not sp.issparse(M):
+        return bool(((M.min(axis=1) == mean) & (M.max(axis=1) == mean)).all())
+    # CSC: every stored entry equals its row's mean, and a row with a
+    # nonzero mean stores all n entries
+    full = np.bincount(M.indices, minlength=M.shape[0]) == M.shape[1]
+    return bool((M.data == mean[M.indices]).all() and (full | (mean == 0)).all())
 
 
 def _lanczos_svd(op: _Operator, k: int, seed: int):
     """Top k+1 singular triplets by ARPACK on the implicit operator.
 
     The extra triplet supplies ``s_{k'+1}`` for the gap check; ARPACK
-    needs ``k + 1 < min(d, n)``.
+    needs ``k + 1 < min(d, n)``. It cannot start on a zero operator,
+    whose singular values are all 0 and any orthonormal U its left
+    singular vectors.
     """
+    if _is_zero(op):
+        d = op.shape[0]
+        return _complete_orthonormal(np.empty((d, 0)), d, k + 1, seed=17), np.zeros(k + 1)
     linear = scipy.sparse.linalg.LinearOperator(
         op.shape,
         matvec=lambda x: op.matmat(x.reshape(-1, 1)).ravel(),
@@ -412,12 +408,7 @@ def _fit(A: DataMatrix, k: int, seed: int, mean=None, gram=None) -> Projector:
             U, s, V = _gram_factors(op, _uncentered_gram(A.values, *gram), min(k + 1, n))
             driver, residual = "gram", _residual(op.rmatmat(U[:, :k]) - V[:, :k] * s[:k], s)
         if residual is None or residual > RESIDUAL_RTOL:
-            U, s, V = _randomized_svd(op, k, seed)
-            driver, residual = "randomized", _residual(op.matmat(V[:, :k]) - U[:, :k] * s[:k], s)
-        if residual > RESIDUAL_RTOL:
-            # ARPACK cannot return min(d, n) triplets; that case is
-            # reachable only when _OVERSAMPLING is 0, since otherwise the
-            # sketch spans the whole range and is certified
+            # ARPACK cannot return min(d, n) triplets
             driver = "lanczos" if k + 1 < min(d, n) else "dense"
             residual = None
     if driver == "dense":
@@ -441,10 +432,9 @@ def _fit(A: DataMatrix, k: int, seed: int, mean=None, gram=None) -> Projector:
 def truncated_svd(A: DataMatrix, k: int, seed: int = 0, gram=None) -> Projector:
     """Top-k left singular vectors and singular values of A.
 
-    ``seed`` keys the range finder's sketch and the Lanczos start
-    vector. ``gram``, the ``(G, mean)`` pair :func:`centered_gram`
-    returns for ``A.values``, lets a fit past the dense driver try the
-    Gram driver first; see the module docstring.
+    ``seed`` keys the Lanczos start vector. ``gram``, the ``(G, mean)``
+    pair :func:`centered_gram` returns for ``A.values``, lets a fit past
+    the dense driver try the Gram driver first; see the module docstring.
     """
     return _fit(A, k, seed, gram=gram)
 

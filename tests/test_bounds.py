@@ -584,7 +584,7 @@ class TestOneGramPerSeed:
     """verify_bounds forms one centered Gram matrix per seed and reads everything off it."""
 
     # n = 45 lies above a dense cutoff of 20, where the fit would
-    # otherwise run the randomized driver
+    # otherwise run the Lanczos driver
     MODEL = dict(d=600, sizes=[12, 15, 18], p=0.7, q=0.3)
 
     @pytest.fixture(autouse=True)
@@ -592,9 +592,9 @@ class TestOneGramPerSeed:
         monkeypatch.setattr(linalg, "_DENSE_CUTOFF", 20)
 
     def count_calls(self, monkeypatch):
-        """Counts Gram products of a d-row draw (not of the projection) and randomized fits."""
-        calls = {"gram": 0, "randomized": 0}
-        real_gram, real_randomized = linalg.centered_gram, linalg._randomized_svd
+        """Counts Gram products of a d-row draw (not of the projection) and Lanczos fits."""
+        calls = {"gram": 0, "lanczos": 0}
+        real_gram, real_lanczos = linalg.centered_gram, linalg._lanczos_svd
         real_rows = metrics._gram_rows
 
         def gram(M):
@@ -606,21 +606,21 @@ class TestOneGramPerSeed:
             calls["gram"] += G is None and M.shape[0] == self.MODEL["d"]
             return real_rows(M, G)
 
-        def randomized(*args):
-            calls["randomized"] += 1
-            return real_randomized(*args)
+        def lanczos(*args):
+            calls["lanczos"] += 1
+            return real_lanczos(*args)
 
         for module in (linalg, bounds):
             monkeypatch.setattr(module, "centered_gram", gram)
         monkeypatch.setattr(metrics, "_gram_rows", rows)
-        monkeypatch.setattr(linalg, "_randomized_svd", randomized)
+        monkeypatch.setattr(linalg, "_lanczos_svd", lanczos)
         return calls
 
-    def test_one_gram_product_and_no_randomized_fit_per_seed(self, monkeypatch):
+    def test_one_gram_product_and_no_lanczos_fit_per_seed(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         model = sbm_rectangular(**self.MODEL)
         report = verify_bounds(model, seeds=[3, 4], kprime=4)
-        assert calls == {"gram": 2, "randomized": 0}
+        assert calls == {"gram": 2, "lanczos": 0}
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["fit_drivers"] == ["gram", "gram"]
         assert all(0.0 <= r <= linalg.RESIDUAL_RTOL for r in doc["fit_residuals"])

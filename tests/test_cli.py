@@ -127,6 +127,19 @@ class TestManifest:
         assert doc["normalization"] == "log1p"
         for lib in ("pcacompress", "numpy", "scipy", "python"):
             assert lib in doc["versions"]
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert doc["fit"] == {
+            "driver": analysis["svd_driver"],
+            "residual": analysis["svd_residual"],
+            "gap_warning": analysis["gap_warning"],
+        }
+        # a tsv run writes no sweep.json; its manifest still holds the fit
+        sweep = tmp_path / "sweep"
+        args = ["--matrix", str(matrix), "--labels", str(labels), "--grid", "2,3"]
+        assert cli.main(["sweep-pcs", *args, "--format", "tsv", "--out-dir", str(sweep)]) == 0
+        assert not (sweep / "sweep.json").exists()
+        fit = json.loads((sweep / "manifest.json").read_text())["fit"]
+        assert fit == {"driver": "dense", "residual": None, "gap_warning": False}
 
     def test_records_thread_variables_and_input_digests(self, monkeypatch, dataset, tmp_path):
         matrix, labels = dataset
@@ -292,6 +305,27 @@ class TestAnalyzeOutputs:
             assert doc["pair_policy"] == "exact"
             assert doc["pair_count"] == 45
             assert doc["recomputed_pairs"] == 21
+
+    @pytest.mark.parametrize(
+        "name, centered",
+        [("zeros.mtx", False), ("zeros.csv", False), ("ones.csv", True)],
+        ids=["zero-sparse", "zero-dense", "identical-columns-centered"],
+    )
+    def test_zero_operator_past_dense_cutoff_exits_zero(self, tmp_path, name, centered):
+        # a 600 x 700 input takes the Lanczos driver, whose operator is zero here
+        matrix = tmp_path / name
+        if name.endswith(".mtx"):
+            matrix.write_text("%%MatrixMarket matrix coordinate real general\n600 700 0\n")
+        else:
+            np.savetxt(matrix, np.full((600, 700), float(name == "ones.csv")), fmt="%g", delimiter=",")
+        out = tmp_path / "out"
+        args = ["analyze", "--matrix", str(matrix), "--pcs", "3", "--out-dir", str(out)]
+        assert cli.main(args + ["--centered"] * centered) == 0
+        doc = json.loads((out / "analysis.json").read_text())
+        assert doc["svd_driver"] == "lanczos" and doc["gap_warning"]
+        assert doc["singular_values"] == [0.0, 0.0, 0.0]
+        assert doc["pair_count"] == 700 * 699 // 2 == 244650
+        assert doc["overall"]["excluded"] == doc["pair_count"]
 
 
 class TestRoundTripOracle:

@@ -76,19 +76,19 @@ class TestTruncatedSvd:
         assert la.principal_angle(P, oracle) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_randomized_driver_on_spiked_input(self, monkeypatch, seed):
+    def test_lanczos_driver_on_spiked_input(self, monkeypatch, seed):
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
         M = spiked_matrix(150, 700, rank=6, noise=1e-4, seed=seed)
         A = la.DataMatrix(M)
         P = la.truncated_svd(A, 6, seed)
-        assert P.driver == "randomized"
+        assert P.driver == "lanczos" and P.residual is None
         U, s, _ = scipy.linalg.svd(M, full_matrices=False)
         np.testing.assert_allclose(P.singular_values, s[:6], rtol=1e-8)
         assert la.principal_angle(P, la.Projector(U[:, :6].T, s[:6])) <= 1e-6
 
     def test_auto_driver_exact_on_gapless_input(self):
-        # Pure noise above the dense cutoff: the range finder alone misses
-        # the flat spectrum, so the default fit must certify and refit.
+        # Pure noise above the dense cutoff: a flat spectrum, which the
+        # Lanczos fit resolves exactly.
         M = np.random.default_rng(7).standard_normal((600, 600))
         A = la.DataMatrix(M)
         P = la.truncated_svd(A, 20)
@@ -100,23 +100,53 @@ class TestTruncatedSvd:
         assert P.singular_values.tobytes() == again.singular_values.tobytes()
         assert P.driver == "lanczos"
 
-    def test_auto_driver_keeps_certified_randomized_fit(self):
+    def test_auto_driver_exact_on_spiked_input(self):
         M = spiked_matrix(600, 600, rank=6, noise=1e-4, seed=3)
         P = la.truncated_svd(la.DataMatrix(M), 6)
-        assert P.driver == "randomized"
+        assert P.driver == "lanczos" and P.residual is None
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:6], rtol=1e-8)
 
     def test_uncertified_fit_without_lanczos_room_goes_dense(self, monkeypatch):
-        # with no oversampling the sketch misses the flat spectrum, and
         # ARPACK cannot return k'+1 = min(d, n) triplets
-        monkeypatch.setattr(la, "_OVERSAMPLING", 0)
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 5)
         M = np.random.default_rng(4).standard_normal((30, 20))
         P = la.truncated_svd(la.DataMatrix(M), 19)
         assert P.driver == "dense"
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:19], rtol=1e-10)
+
+    def test_sparse_past_densify_budget_without_lanczos_room_goes_dense(self, monkeypatch):
+        monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
+        M = np.random.default_rng(4).standard_normal((30, 20))
+        P = la.truncated_svd(la.DataMatrix(sp.csc_array(M)), 19)
+        assert P.driver == "dense"
+        s = scipy.linalg.svd(M, compute_uv=False)
+        np.testing.assert_allclose(P.singular_values, s[:19], rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "values, centered",
+        [
+            (np.zeros((150, 120)), False),
+            (sp.csc_array((150, 120)), False),
+            (np.ones((150, 120)), True),
+        ],
+        ids=["zero-dense", "zero-sparse", "identical-columns-centered"],
+    )
+    def test_zero_operator_never_reaches_arpack(self, monkeypatch, values, centered):
+        monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
+
+        def arpack(*args, **kwargs):
+            raise AssertionError("ARPACK ran on a zero operator")
+
+        monkeypatch.setattr(la.scipy.sparse.linalg, "svds", arpack)
+        fit = la.fit_centered_pca if centered else la.fit_uncentered_pca
+        P, again = (fit(la.DataMatrix(values), 3) for _ in range(2))
+        assert P.driver == "lanczos" and P.residual is None
+        assert P.gap_warning
+        np.testing.assert_array_equal(P.singular_values, np.zeros(3))
+        np.testing.assert_allclose(P.components @ P.components.T, np.eye(3), atol=1e-12)
+        assert P.components.tobytes() == again.components.tobytes()
 
     def test_k_out_of_range(self):
         A = la.DataMatrix(np.ones((3, 4)))
@@ -146,7 +176,7 @@ class TestGramSvd:
         monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
         fit = la.fit_centered_pca if centered else la.fit_uncentered_pca
         P = fit(la.DataMatrix(sp.csc_array(M)), k)
-        assert P.driver in ("randomized", "lanczos")
+        assert P.driver == "lanczos" and P.residual is None
         if centered:
             M = M - M.mean(axis=1, keepdims=True)
         U, s, _ = scipy.linalg.svd(M, full_matrices=False)
@@ -174,8 +204,7 @@ class TestGramSvd:
         spectrum = np.full(r, 1e-3)
         spectrum[:6] = [1e4, 1e3, 1e2, 10.0, 1.0, 0.1]
         M = left @ (spectrum[:, None] * right.T)
-        P = self.fit_oracle(monkeypatch, M, 6, centered=False)
-        assert P.driver == "randomized" and P.residual <= la.RESIDUAL_RTOL
+        self.fit_oracle(monkeypatch, M, 6, centered=False)
 
 
 class TestGramFit:
@@ -192,7 +221,7 @@ class TestGramFit:
         assert la.principal_angle(P, la.Projector(U[:, :3].T, s[:3])) <= 1e-8
         assert not P.gap_warning
         without = la.fit_uncentered_pca(A, 3)
-        assert without.driver == "randomized"
+        assert without.driver == "lanczos" and without.residual is None
         assert la.principal_angle(P, without) <= 1e-8
 
     def test_centered_gram_matches_explicit_centering(self):
@@ -212,7 +241,7 @@ class TestGramFit:
         A = la.DataMatrix(M)
         G, mean = la.centered_gram(M)
         P = la.fit_uncentered_pca(A, 2, gram=(G * 1.01, mean))
-        assert P.driver == "randomized"
+        assert P.driver == "lanczos" and P.residual is None
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:2], rtol=1e-8)
 
@@ -230,11 +259,12 @@ class TestFitResidual:
             la.fit_centered_pca(A, 3),
             la.fit_uncentered_pca(la.DataMatrix(sp.csc_array(M)), 3),
         ]
-        assert [P.driver for P in fits] == ["gram", "randomized", "randomized", "randomized"]
-        for P in fits:
-            assert 0.0 < P.residual <= la.RESIDUAL_RTOL
-        zero = la.fit_uncentered_pca(la.DataMatrix(np.zeros((150, 120))), 3)
-        assert zero.driver == "randomized" and zero.residual == 0.0
+        assert [P.driver for P in fits] == ["gram", "lanczos", "lanczos", "lanczos"]
+        assert 0.0 < fits[0].residual <= la.RESIDUAL_RTOL
+        assert all(P.residual is None for P in fits[1:])
+        zero = np.zeros((150, 120))
+        P = la.fit_uncentered_pca(la.DataMatrix(zero), 3, gram=la.centered_gram(zero))
+        assert P.driver == "gram" and P.residual == 0.0
 
     def test_exact_fits_record_none(self, monkeypatch):
         M = np.random.default_rng(16).standard_normal((200, 150))
