@@ -295,6 +295,7 @@ class ExtraPcCheck:
     budget: float
     intra_pairs: int
     threshold_shift: float
+    worst_trailing_sq: float  # the largest intra pair's, beside threshold_shift
 
 
 def extra_pc_check(
@@ -309,11 +310,8 @@ def extra_pc_check(
     shift, budget = extra_pc_pair_bound(params, c, f)
     A = generate_dataset(model, seed)
     P = fit_uncentered_pca(A, model.k + c)
-    split = extra_pc_split(A, P, model.k)
-    intra = split.same
-    trailing_sq = split.trailing[intra] ** 2
-    exceed = int(np.sum(trailing_sq > shift * (1.0 + 1e-12)))
-    return ExtraPcCheck(exceed, budget, int(intra.sum()), shift)
+    intra, exceed, worst = extra_pc_split(A, P, model.k, shift)
+    return ExtraPcCheck(exceed, budget, intra, shift, worst)
 
 
 # Largest estimated relative error, eps * max diag(Gc) / lambda_top, of

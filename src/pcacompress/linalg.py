@@ -29,6 +29,7 @@ finder's sketch cannot reach ``RESIDUAL_RTOL`` (ibid.).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -267,6 +268,23 @@ def row_sliceable(M):
     return R, np.asarray(M.mean(axis=1)).reshape(M.shape[0])
 
 
+def range_scale(M) -> float:
+    """A power of two bringing M's largest |entry| into [1/2, 1), or 1 when none is needed.
+
+    Squares of entries past 2^256 overflow float64 in sums over a
+    column, and squares of entries below 2^-256 lose their digits; a
+    largest |entry| between the two takes no scaling, so its results
+    keep every bit. Reads the min and max (of a sparse M's stored
+    entries), with no temporary the size of M.
+    """
+    data = M.data if sp.issparse(M) else M
+    top = max(-float(data.min()), float(data.max())) if data.size else 0.0
+    if top == 0.0 or 2.0**-256 <= top <= 2.0**256:
+        return 1.0
+    # 2^1023 is the largest power of two; a subnormal top stays below 1
+    return math.ldexp(1.0, -max(math.frexp(top)[1], -1023))
+
+
 def centered_row_blocks(R, mean, start: int = 0, rows: Optional[int] = None):
     """Columns ``start:`` of a dense or sparse R in centered, dense row blocks.
 
@@ -368,11 +386,17 @@ def _lanczos_svd(op: _Operator, k: int, seed: int):
     The extra triplet supplies ``s_{k'+1}`` for the gap check; ARPACK
     needs ``k + 1 < min(d, n)``. It cannot start on a zero operator,
     whose singular values are all 0 and any orthonormal U its left
-    singular vectors.
+    singular vectors. ARPACK iterates on ``A^T A``, whose entries leave
+    float64 at either end of its range, so an operator whose largest
+    entry lies outside :func:`range_scale`'s range is scaled by an exact
+    power of two, and its singular values scaled back.
     """
     if _is_zero(op):
         d = op.shape[0]
         return _complete_orthonormal(np.empty((d, 0)), d, k + 1, seed=17), np.zeros(k + 1)
+    scale = range_scale(op.values)
+    if scale != 1.0:
+        op = _Operator(op.values * scale, None if op.mean is None else op.mean * scale)
     linear = scipy.sparse.linalg.LinearOperator(
         op.shape,
         matvec=lambda x: op.matmat(x.reshape(-1, 1)).ravel(),
@@ -385,7 +409,7 @@ def _lanczos_svd(op: _Operator, k: int, seed: int):
     v0 = rng.standard_normal(min(op.shape))
     U, s, _ = scipy.sparse.linalg.svds(linear, k=k + 1, v0=v0)
     order = np.argsort(s)[::-1]
-    return U[:, order], s[order]
+    return U[:, order], s[order] / scale
 
 
 def _uncentered_gram(M, G: np.ndarray, mean: np.ndarray) -> np.ndarray:

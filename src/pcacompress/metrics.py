@@ -9,8 +9,9 @@ same-cluster pairs).
 Every consumer reads one pair engine. A pass (:class:`PairStream`)
 computes the pairs chunk by chunk, in row-major pair order, and feeds
 each chunk to sinks that reduce it: :class:`ClusterPairTable` over
-cluster pairs, :class:`PointSums` per point, and the curve's two passes
-(:class:`CurveHistogram`, then the bins holding its cut points). All
+cluster pairs, :class:`PointSums` per point, the curve's two passes
+(:class:`CurveHistogram`, then the bins holding its cut points), and
+the extra-component split's counts (:func:`extra_pc_split`). All
 pairs are taken over tiles of rows of the strict upper triangle, each
 with its block of the Gram matrix, so no per-pair array outlives its
 chunk and memory grows with n times the tile, not with the pair count.
@@ -33,7 +34,10 @@ import scipy.linalg.blas
 import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
-from .linalg import DataMatrix, Projector, centered_row_blocks, project_columns, row_sliceable
+from .linalg import (
+    DataMatrix, Projector, centered_row_blocks, fit_centered_pca, fit_uncentered_pca,
+    project_columns, range_scale, row_sliceable,
+)
 
 DEGENERATE_RTOL = 1e-12
 # allowed numerical overshoot of post over pre before it is an error
@@ -246,13 +250,25 @@ def _pass(A: DataMatrix, sides, sample=None, G=None):
     ``sides`` holds ``(Y, widths)``: projected coordinates (k' x n) and
     the leading-row counts, ascending, to measure in. Yields per chunk
     one :class:`PairSet` per side and width, in that order, all sharing
-    the chunk's pairs and original distances.
+    the chunk's pairs and original distances. A matrix whose largest
+    entry lies outside :func:`~pcacompress.linalg.range_scale`'s range
+    is measured scaled by an exact power of two, sides alike, without
+    the caller's G (whose entries have already left float64), and its
+    distances scaled back.
     """
+    M, scale = A.values, range_scale(A.values)
+    if scale != 1.0:
+        M, G = M * scale, None
+        sides = [(Y * scale, widths) for Y, widths in sides]
     if sample is None:
-        parts = _exact_parts(A.values, sides, G)
+        parts = _exact_parts(M, sides, G)
     else:
-        parts = _sampled_parts(A.values, sides, sample)
+        parts = _sampled_parts(M, sides, sample)
     for i, j, pre, posts, recomputed in parts:
+        if scale != 1.0:
+            pre /= scale
+            for post in posts:
+                post /= scale
         out = []
         for post in posts:
             if np.any(post > pre * (1.0 + _CONTRACTION_RTOL)):
@@ -278,8 +294,6 @@ class PairStream:
     """
 
     def __init__(self, A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exact", gram=None):
-        if A.d != P.d:
-            raise InputError(f"matrix has d={A.d}, projector wants {P.d}")
         self.A, self.gram = A, gram
         self.sample = _sampled_pairs(A.n, pair_policy)
         self.labels = A.labels
@@ -324,11 +338,10 @@ def reduce_pairs(pairs, *sinks) -> None:
             sink.update(chunk)
 
 
-def _require_labels(pairs, labels, what: str) -> np.ndarray:
-    labels = pairs.labels if labels is None else labels
-    if labels is None:
+def _require_labels(pairs, what: str) -> np.ndarray:
+    if pairs.labels is None:
         raise InputError(f"{what} requires labels")
-    return np.asarray(labels)
+    return pairs.labels
 
 
 @dataclass
@@ -412,7 +425,7 @@ class ClusterSummary:
         return self.rows[cluster]
 
 
-def cluster_summary(pairs, labels: Optional[np.ndarray] = None) -> ClusterSummary:
+def cluster_summary(pairs) -> ClusterSummary:
     """Per-cluster intra and inter averages, the report-table shape.
 
     ``pairs`` is a :class:`PairSet` or :class:`PairStream`, reduced here
@@ -423,7 +436,7 @@ def cluster_summary(pairs, labels: Optional[np.ndarray] = None) -> ClusterSummar
     if isinstance(pairs, ClusterPairTable):
         table = pairs
     else:
-        table = ClusterPairTable(_require_labels(pairs, labels, "cluster summary"))
+        table = ClusterPairTable(_require_labels(pairs, "cluster summary"))
         reduce_pairs(pairs, table)
     a, b = np.indices(table.count.shape)
     sizes = np.bincount(table.labels)
@@ -467,7 +480,7 @@ class PointSums:
         self.counts += np.bincount(slot, minlength=size)
 
 
-def pointwise_summary(pairs, labels: Optional[np.ndarray] = None) -> List[PointSummary]:
+def pointwise_summary(pairs) -> List[PointSummary]:
     """Mean compression ratio of each point against its own and other clusters.
 
     ``pairs`` is a :class:`PairSet` or :class:`PairStream`, reduced here
@@ -476,7 +489,7 @@ def pointwise_summary(pairs, labels: Optional[np.ndarray] = None) -> List[PointS
     if isinstance(pairs, PointSums):
         point_sums = pairs
     else:
-        point_sums = PointSums(_require_labels(pairs, labels, "pointwise summary"))
+        point_sums = PointSums(_require_labels(pairs, "pointwise summary"))
         reduce_pairs(pairs, point_sums)
     sums = point_sums.sums.reshape(-1, 2)
     counts = point_sums.counts.reshape(-1, 2)
@@ -584,10 +597,7 @@ class _CurveCuts:
 
 
 def intra_fraction_curve(
-    pairs,
-    labels: Optional[np.ndarray] = None,
-    grid: Optional[np.ndarray] = None,
-    histogram: Optional[CurveHistogram] = None,
+    pairs, grid: Optional[np.ndarray] = None, histogram: Optional[CurveHistogram] = None
 ) -> List[CurvePoint]:
     """Fraction of same-cluster pairs among the top-x most compressed.
 
@@ -599,7 +609,7 @@ def intra_fraction_curve(
     """
     grid = default_curve_grid() if grid is None else np.asarray(grid)
     if histogram is None:
-        histogram = CurveHistogram(_require_labels(pairs, labels, "curve"))
+        histogram = CurveHistogram(_require_labels(pairs, "curve"))
         reduce_pairs(pairs, histogram)
     cuts = _CurveCuts(histogram, grid)
     reduce_pairs(pairs, cuts)
@@ -632,8 +642,6 @@ def pcs_sweep(
     """
     if A.labels is None:
         raise InputError("sweep requires labels")
-    if A.d != P.d:
-        raise InputError(f"matrix has d={A.d}, projector wants {P.d}")
     grid = list(grid)
     if grid != sorted(set(grid)) or not 1 <= grid[0] <= grid[-1] <= P.k:
         raise InputError(f"sweep grid must ascend within [1, {P.k}], got {grid}")
@@ -673,8 +681,6 @@ def centering_comparison(A: DataMatrix, k: int, seed: int = 0) -> CenteringRepor
     (both filled in one pass) and their relative per-cell differences
     are included.
     """
-    from .linalg import fit_centered_pca, fit_uncentered_pca
-
     unc = fit_uncentered_pca(A, k, seed)
     cen = fit_centered_pca(A, k, seed)
     mean = A.row_means()
@@ -701,33 +707,29 @@ def centering_comparison(A: DataMatrix, k: int, seed: int = 0) -> CenteringRepor
     return CenteringReport(cosine, table_unc, table_cen, deltas)
 
 
-@dataclass
-class PairSplit:
-    """Each pair's projected distance cut into leading-k and trailing parts."""
+def extra_pc_split(A: DataMatrix, P: Projector, k: int, shift: float) -> Tuple[int, int, float]:
+    """``(intra pairs, exceedances, worst trailing^2)`` of the split at component k.
 
-    i: np.ndarray
-    j: np.ndarray
-    leading: np.ndarray
-    trailing: np.ndarray
-    post: np.ndarray
-    same: Optional[np.ndarray]
-
-
-def extra_pc_split(A: DataMatrix, P: Projector, k: int) -> PairSplit:
-    """Split each pair's post-projection distance at component k.
-
-    Checks the Pythagorean identity between the full projected distance
-    and the two parts to 1e-9 relative before returning.
+    A same-cluster pair's trailing^2 is its squared projected distance
+    over the components past k; it exceeds ``shift`` when above
+    ``shift * (1 + 1e-12)``. One pass, with the projected columns
+    standing in for the matrix, measures rows k: as its side. Their own
+    Gram identity keeps a small trailing^2's digits, which
+    post^2 - leading^2 would lose.
     """
+    if A.labels is None:
+        raise InputError("extra-component split requires labels")
     if not 1 <= k <= P.k:
         raise InputError(f"need 1 <= k <= k'={P.k}, got k={k}")
+    if k == P.k:  # no component past k
+        sizes = np.bincount(A.labels)
+        return int((sizes * (sizes - 1) // 2).sum()), 0, 0.0
     Y = project_columns(P, A)
-    i, j = np.triu_indices(A.n, k=1)
-    # Y has only k' rows, so direct differences are cheap and exact
-    leading, trailing, post = (_direct_distances(Z, i, j) for Z in (Y[:k], Y[k:], Y))
-    post_sq = post**2
-    mismatch = np.abs(post_sq - (leading**2 + trailing**2))
-    if np.any(mismatch > 1e-9 * np.maximum(post_sq, 1e-300)):
-        raise NumericalError("projected distance parts fail the Pythagorean identity")
-    same = None if A.labels is None else A.labels[i] == A.labels[j]
-    return PairSplit(i=i, j=j, leading=leading, trailing=trailing, post=post, same=same)
+    intra = exceed = 0
+    worst = 0.0
+    for (chunk,) in _pass(DataMatrix(Y, A.labels), [(Y[k:], [P.k - k])]):
+        trailing_sq = chunk.post[chunk.same] ** 2
+        intra += len(trailing_sq)
+        exceed += int(np.count_nonzero(trailing_sq > shift * (1.0 + 1e-12)))
+        worst = max(worst, float(trailing_sq.max(initial=0.0)))
+    return intra, exceed, worst

@@ -328,6 +328,23 @@ class TestAnalyzeOutputs:
         assert doc["overall"]["excluded"] == doc["pair_count"]
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    def test_lanczos_fit_at_range_ends_exits_zero(self, tmp_path, scale):
+        # a 600 x 700 input takes the Lanczos driver, whose A^T A leaves float64 here
+        from pcacompress.linalg import DataMatrix, fit_uncentered_pca
+
+        X = np.random.default_rng(3).standard_normal((600, 700))
+        matrix = tmp_path / "scaled.csv"
+        np.savetxt(matrix, scale * X, fmt="%.17g", delimiter=",")
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--matrix", str(matrix), "--pcs", "5", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "analysis.json").read_text())
+        assert doc["svd_driver"] == "lanczos" and doc["overall"]["excluded"] == 0
+        want = fit_uncentered_pca(DataMatrix(X), 5).singular_values
+        np.testing.assert_allclose(doc["singular_values"], scale * want, rtol=1e-12)
+
+
 class TestRoundTripOracle:
     def test_simulated_files_reproduce_in_memory_summary(self, dataset, tmp_path):
         import scipy.sparse as sp

@@ -138,6 +138,30 @@ class TestPairCompression:
         np.testing.assert_allclose(got.pre, want.pre, rtol=1e-10, atol=0)
         np.testing.assert_allclose(got.post, want.post, rtol=1e-10, atol=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.05], ids=["dense", "sparse-above", "sparse-below"])
+    def test_averages_scale_at_range_ends(self, scale, density):
+        # squared distances of such entries underflow or overflow float64
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((60, 70)) * (rng.uniform(size=(60, 70)) < density)
+        labels = np.arange(70) % 3
+        store = (lambda M: M) if density == 1.0 else sp.csc_array
+        unit, scaled = (DataMatrix(store(M), labels=labels) for M in (X, scale * X))
+        P = fit_uncentered_pca(unit, 5)
+        for policy in ("exact", ("sampled", 500, 1)):
+            want, got = (
+                cluster_summary(pair_compression(A, P, policy)).rows for A in (unit, scaled)
+            )
+            for w, g in zip(want, got):
+                for group in ("intra", "inter"):
+                    w_cell, g_cell = getattr(w, group), getattr(g, group)
+                    assert (g_cell.pair_count, g_cell.excluded) == (w_cell.pair_count, w_cell.excluded)
+                    for key, factor in (("pre_avg", scale), ("post_avg", scale), ("ratio_avg", 1.0)):
+                        np.testing.assert_allclose(
+                            getattr(g_cell, key), factor * getattr(w_cell, key), rtol=1e-12
+                        )
+
     def test_dimension_mismatch_rejected(self):
         A = small_labeled_matrix()
         P = fit_uncentered_pca(small_labeled_matrix(d=7), 2)
@@ -424,56 +448,89 @@ class TestCenteringComparison:
         np.testing.assert_allclose(cells["intra.ratio_avg"], (got - base) / base)
 
 
+def _trailing_oracle(A, P, k):
+    """Each same-cluster pair's trailing^2, by direct differences of projected rows k:."""
+    X = A.values.toarray() if sp.issparse(A.values) else A.values
+    Y = (P.components @ X)[k:]
+    i, j = np.triu_indices(A.n, k=1)
+    same = A.labels[i] == A.labels[j]
+    diff = Y[:, i[same]] - Y[:, j[same]]
+    return np.einsum("ij,ij->j", diff, diff)
+
+
+def _assert_split_matches_oracle(A, P, k, quantiles=(0.0, 0.5, 0.9, 0.999)):
+    oracle = _trailing_oracle(A, P, k)
+    counts = []
+    for q in quantiles:
+        shift = float(np.quantile(oracle, q))
+        intra, exceed, worst = extra_pc_split(A, P, k, shift)
+        assert intra == len(oracle)
+        assert exceed == np.count_nonzero(oracle > shift * (1.0 + 1e-12))
+        np.testing.assert_allclose(worst, oracle.max(), rtol=1e-9)
+        counts.append(exceed)
+    return counts
+
+
 class TestExtraPcSplit:
     def test_parts_match_direct_computation(self):
-        A = small_labeled_matrix(seed=2, d=10, n=8)
-        P = fit_uncentered_pca(A, 4)
-        split = extra_pc_split(A, P, 2)
-        X = A.values
-        C = P.components
-        t = 0
-        for a in range(A.n):
-            for b in range(a + 1, A.n):
-                y = C @ (X[:, a] - X[:, b])
-                np.testing.assert_allclose(split.leading[t], np.linalg.norm(y[:2]), rtol=1e-10)
-                np.testing.assert_allclose(split.trailing[t], np.linalg.norm(y[2:]), rtol=1e-10)
-                t += 1
+        # acceptance 07's model and split: at shifts on the oracle's 0, 50,
+        # 90 and 99.9 % quantiles the counts match pair for pair
+        model = sbm_rectangular(d=500, sizes=[125] * 4, p=0.7, q=0.3)
+        for seed in (0, 3):
+            A = generate_dataset(model, seed)
+            P = fit_uncentered_pca(A, model.k + 3)
+            counts = _assert_split_matches_oracle(A, P, model.k)
+            assert counts == [30999, 15500, 3100, 31]
 
     def test_pythagorean_identity(self):
+        # the worst trailing^2 is the worst post^2 - leading^2, by direct differences
         A = small_labeled_matrix(seed=10, d=14, n=10)
         P = fit_uncentered_pca(A, 5)
-        split = extra_pc_split(A, P, 3)
-        np.testing.assert_allclose(
-            split.post**2, split.leading**2 + split.trailing**2, rtol=1e-12
-        )
+        Y = P.components @ A.values
+        i, j = np.triu_indices(A.n, k=1)
+        same = A.labels[i] == A.labels[j]
+        diff = Y[:, i[same]] - Y[:, j[same]]
+        want = np.einsum("ij,ij->j", diff, diff) - np.einsum("ij,ij->j", diff[:3], diff[:3])
+        np.testing.assert_allclose(extra_pc_split(A, P, 3, 0.0)[2], want.max(), rtol=1e-9)
+        _assert_split_matches_oracle(A, P, 3)
 
     def test_post_agrees_with_pair_compression(self):
         A = small_labeled_matrix(seed=11, d=14, n=10)
         P = fit_uncentered_pca(A, 5)
-        split = extra_pc_split(A, P, 3)
-        pairs = pair_compression(A, P)
-        np.testing.assert_allclose(split.post, pairs.post, rtol=1e-9)
+        leading = Projector(P.components[:3], P.singular_values[:3])
+        full, lead = pair_compression(A, P), pair_compression(A, leading)
+        want = full.post[full.same] ** 2 - lead.post[lead.same] ** 2
+        intra, _, worst = extra_pc_split(A, P, 3, 0.0)
+        assert intra == np.count_nonzero(full.same)
+        np.testing.assert_allclose(worst, want.max(), rtol=1e-9)
+
+    def test_tiny_tiles_match_oracle(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_TILE_ROWS", 3)
+        monkeypatch.setattr(metrics, "_CHUNK_PAIRS", 5)
+        A = small_labeled_matrix(seed=2, d=10, n=20, k=3)
+        P = fit_uncentered_pca(A, 4)
+        for k in (1, 2, 3):
+            _assert_split_matches_oracle(A, P, k)
 
     def test_split_at_full_width_has_zero_trailing(self):
         A = small_labeled_matrix(seed=14)
         P = fit_uncentered_pca(A, 3)
-        split = extra_pc_split(A, P, 3)
-        np.testing.assert_array_equal(split.trailing, 0.0)
-        np.testing.assert_allclose(split.leading, split.post)
+        assert extra_pc_split(A, P, 3, 0.0) == (2 * (4 * 3 // 2), 0, 0.0)
 
     def test_bad_split_point_rejected(self):
         A = small_labeled_matrix(seed=15)
         P = fit_uncentered_pca(A, 3)
         with pytest.raises(InputError):
-            extra_pc_split(A, P, 0)
+            extra_pc_split(A, P, 0, 1.0)
         with pytest.raises(InputError):
-            extra_pc_split(A, P, 4)
+            extra_pc_split(A, P, 4, 1.0)
 
     def test_same_cluster_mask_present_with_labels(self):
         A = small_labeled_matrix(seed=16)
-        split = extra_pc_split(A, fit_uncentered_pca(A, 3), 1)
-        assert split.same is not None
-        assert split.same.sum() > 0
+        P = fit_uncentered_pca(A, 3)
+        assert extra_pc_split(A, P, 1, 1.0)[0] == 2 * (4 * 3 // 2)
+        with pytest.raises(InputError):
+            extra_pc_split(DataMatrix(A.values), P, 1, 1.0)
 
 
 def _oracle(A, P, widths, grid):
@@ -655,15 +712,16 @@ class TestStreamingTiles:
 
     def test_exact_pass_memory_stays_bounded(self):
         # every exact reduction over the 4.5 M pairs of a dense 1000 x 3000
-        # matrix; a materialized PairSet alone would take over 300 MB
+        # matrix, the extra-component split's among them; a materialized
+        # PairSet alone would take over 300 MB
         script = textwrap.dedent(
             """
             import resource
             import numpy as np
             from pcacompress.linalg import DataMatrix, Projector
             from pcacompress.metrics import (
-                ClusterPairTable, CurveHistogram, PointSums, intra_fraction_curve,
-                pair_compression,
+                ClusterPairTable, CurveHistogram, PointSums, extra_pc_split,
+                intra_fraction_curve, pair_compression,
             )
 
             rng = np.random.default_rng(0)
@@ -675,8 +733,10 @@ class TestStreamingTiles:
             sinks = [sink(labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)]
             pairs = pair_compression(A, P, sinks=sinks)
             curve = intra_fraction_curve(pairs, histogram=sinks[2])
+            intra, _, _ = extra_pc_split(A, P, 3, 1.0)
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             assert sinks[0].count.sum() == 3000 * 2999 // 2
+            assert intra == 3 * (1000 * 999 // 2)
             assert len(curve) == 100
             print((after - before) / 1024.0)
             """
