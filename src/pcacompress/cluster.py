@@ -9,6 +9,25 @@ convention dominates.
 
 All algorithms here are deterministic given their seeds; the graph arm
 takes no seed at all (exact neighbor search, fixed node order).
+
+Lloyd's iterations need only inner products, so k-means runs in one of
+two forms, chosen from the points' shape. Points with fewer coordinates
+than points (n > d, as after projection) store each center as
+coordinates and read x·μ from X Cᵀ. Points with at least as many
+coordinates as points (n <= d, and n² within ``linalg._DENSIFY_BUDGET``,
+as for the raw columns of a wide matrix) take the Gram form of kernel
+k-means (Dhillon, Guan & Kulis 2004): K = XXᵀ is formed once per call,
+each center is stored as weights b over the points (member/size for a
+mean, eᵢ for a seed or a reseeded point), x·μ is read from (K Bᵀ) and
+‖μ‖² from bᵀKb, so an iteration is one dense n x n product. The forms
+are equal in exact arithmetic, and agree to roundoff on continuous
+data. On discrete data (0/1, or log1p of 0/1) equal nonzero counts give
+exactly tied distances, which the two forms' roundoff may break
+differently, so their labelings there can differ.
+
+Distances are measured on points scaled by ``linalg.range_scale``, an
+exact power of two, so squares do not leave float64 at either end of
+its range; k-means reports its inertia in the input's units.
 """
 
 from __future__ import annotations
@@ -19,10 +38,10 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import InputError, NumericalError
-from .linalg import DataMatrix, fit_uncentered_pca, project_columns
+from .linalg import _DENSIFY_BUDGET, DataMatrix, fit_uncentered_pca, project_columns, range_scale
 
 _GAIN_EPS = 1e-12
 
@@ -67,12 +86,17 @@ def _row_sq_norms(X) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def _sq_distances(X, sq_norms, centers) -> np.ndarray:
-    cross = X @ centers.T
-    c_norms = np.einsum("ij,ij->i", centers, centers)
+def _sq_distances(sq_norms, cross, c_norms) -> np.ndarray:
+    """‖x‖² − 2x·μ + ‖μ‖², clipped at 0, from the points' and centers' squared norms and x·μ."""
     out = sq_norms[:, None] - 2.0 * cross + c_norms[None, :]
     np.clip(out, 0.0, None, out=out)
     return out
+
+
+def _scaled(X):
+    """``(X * s, s)`` with s from :func:`~pcacompress.linalg.range_scale`; X itself when s is 1."""
+    scale = range_scale(X)
+    return (X if scale == 1.0 else X * scale), scale
 
 
 def _one_hot(labels: np.ndarray, k: int):
@@ -81,58 +105,90 @@ def _one_hot(labels: np.ndarray, k: int):
     return sp.csr_array((np.ones(n), (labels, np.arange(n))), shape=(k, n))
 
 
-def _cluster_means(X, labels, k) -> np.ndarray:
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = _one_hot(labels, k) @ X
-    if sp.issparse(sums):
-        sums = sums.toarray()
-    safe = np.maximum(counts, 1.0)
-    return sums / safe[:, None], counts
+class _PointForm:
+    """Centers as coordinates: x·μ is read from X Cᵀ."""
+
+    def __init__(self, X):
+        self.X, self.sq_norms = X, _row_sq_norms(X)
+
+    def points(self, idx) -> np.ndarray:
+        rows = self.X[idx]
+        return rows.toarray() if sp.issparse(rows) else rows
+
+    def means(self, labels, k):
+        counts = np.bincount(labels, minlength=k).astype(np.float64)
+        sums = _one_hot(labels, k) @ self.X
+        if sp.issparse(sums):
+            sums = sums.toarray()
+        return sums / np.maximum(counts, 1.0)[:, None], counts
+
+    def distances(self, centers) -> np.ndarray:
+        cross = self.X @ centers.T
+        return _sq_distances(self.sq_norms, cross, np.einsum("ij,ij->i", centers, centers))
 
 
-def _row(X, i: int) -> np.ndarray:
-    return X[[i]].toarray()[0] if sp.issparse(X) else X[i]
+class _GramForm:
+    """Centers as weights b over the points (μ = Xᵀb): x·μ is read from K Bᵀ, ‖μ‖² from bᵀKb."""
+
+    def __init__(self, X):
+        K = X @ X.T
+        self.K = K.toarray() if sp.issparse(K) else K
+        self.sq_norms = self.K.diagonal()
+
+    def points(self, idx) -> np.ndarray:
+        weights = np.zeros((len(idx), len(self.K)))
+        weights[np.arange(len(idx)), idx] = 1.0
+        return weights
+
+    def means(self, labels, k):
+        counts = np.bincount(labels, minlength=k).astype(np.float64)
+        weights = np.zeros((k, len(labels)))
+        weights[labels, np.arange(len(labels))] = 1.0 / counts[labels]
+        return weights, counts
+
+    def distances(self, centers) -> np.ndarray:
+        cross = self.K @ centers.T
+        return _sq_distances(self.sq_norms, cross, np.einsum("ji,ij->j", centers, cross))
 
 
-def _lloyd(X, sq_norms, k, rng, max_iter, tol):
-    n = X.shape[0]
+def _lloyd(form, k, rng, max_iter, tol):
+    n = len(form.sq_norms)
     # k-means++ seeding
-    first = int(rng.integers(n))
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = _row(X, first)
-    d2 = _sq_distances(X, sq_norms, centers[:1])[:, 0]
-    for j in range(1, k):
+    chosen = [int(rng.integers(n))]
+    d2 = form.distances(form.points(chosen))[:, 0]
+    for _ in range(1, k):
         total = d2.sum()
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
-        centers[j] = _row(X, idx)
-        d2 = np.minimum(d2, _sq_distances(X, sq_norms, centers[j : j + 1])[:, 0])
+        chosen.append(idx)
+        d2 = np.minimum(d2, form.distances(form.points([idx]))[:, 0])
+    centers = form.points(chosen)
 
     previous = math.inf
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        D = _sq_distances(X, sq_norms, centers)
+        D = form.distances(centers)
         labels = D.argmin(axis=1)
         inertia = float(D[np.arange(n), labels].sum())
         if inertia > previous * (1.0 + 1e-9) + 1e-12:
             raise NumericalError(
                 f"inertia rose from {previous:g} to {inertia:g} during Lloyd iteration"
             )
-        centers, counts = _cluster_means(X, labels, k)
+        centers, counts = form.means(labels, k)
         for c in np.flatnonzero(counts == 0):
             # the documented policy: an emptied cluster restarts from the
             # point currently farthest from its assigned center
-            point_d = _sq_distances(X, sq_norms, centers)[np.arange(n), labels]
+            point_d = form.distances(centers)[np.arange(n), labels]
             far = int(point_d.argmax())
-            centers[c] = _row(X, far)
+            centers[c] = form.points([far])[0]
             labels[far] = c
         if previous - inertia <= tol * max(inertia, 1.0) and previous < math.inf:
             previous = inertia
             break
         previous = inertia
-    D = _sq_distances(X, sq_norms, centers)
+    D = form.distances(centers)
     labels = D.argmin(axis=1)
     inertia = float(D[np.arange(n), labels].sum())
     return labels, inertia
@@ -149,7 +205,8 @@ def kmeans(
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts``.
 
     ``points`` holds one point per row, dense or sparse. Inertia is
-    checked to be non-increasing on every iteration.
+    checked to be non-increasing on every iteration. The module
+    docstring says which form of the iteration runs when.
     """
     X = _as_points(points)
     n = X.shape[0]
@@ -157,14 +214,15 @@ def kmeans(
         raise InputError(f"need 1 <= k <= n={n}, got k={k}")
     if restarts < 1 or max_iter < 1:
         raise InputError("restarts and max_iter must be positive")
-    sq_norms = _row_sq_norms(X)
+    X, scale = _scaled(X)
+    form = _GramForm(X) if n <= X.shape[1] and n * n <= _DENSIFY_BUDGET else _PointForm(X)
     best_labels, best_inertia = None, math.inf
     for restart in range(restarts):
         rng = np.random.Generator(np.random.Philox(key=[seed, restart]))
-        labels, inertia = _lloyd(X, sq_norms, k, rng, max_iter, tol)
+        labels, inertia = _lloyd(form, k, rng, max_iter, tol)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
-    return Labeling(best_labels, k, inertia=best_inertia)
+    return Labeling(best_labels, k, inertia=best_inertia / scale / scale)
 
 
 class NeighborGraph:
@@ -222,12 +280,14 @@ def knn_graph(points, m: int = 20, block: int = 512) -> NeighborGraph:
     n = X.shape[0]
     if not 1 <= m < n:
         raise InputError(f"need 1 <= m < n={n}, got m={m}")
+    X, _ = _scaled(X)
     sq_norms = _row_sq_norms(X)
     dense = X.toarray() if sp.issparse(X) else X
+    c_norms = np.einsum("ij,ij->i", dense, dense)
     nearest = np.empty((n, m), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        D = _sq_distances(X[start:stop], sq_norms[start:stop], dense)
+        D = _sq_distances(sq_norms[start:stop], X[start:stop] @ dense.T, c_norms)
         D[np.arange(stop - start), np.arange(start, stop)] = np.inf
         # a stable sort keeps equal distances in index order
         nearest[start:stop] = np.argsort(D, axis=1, kind="stable")[:, :m]
@@ -390,7 +450,9 @@ def best_match_accuracy(a, b) -> float:
     a, b = _labels_of(a), _labels_of(b)
     _check_same_length(a, b)
     table = _contingency(a, b)
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    # adding 1 stores every cell, so a full matching exists, and it adds
+    # min(table.shape) to every full matching's total alike
+    rows, cols = min_weight_full_bipartite_matching(sp.csr_array(table + 1), maximize=True)
     return float(table[rows, cols].sum() / len(a))
 
 

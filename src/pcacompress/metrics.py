@@ -684,6 +684,9 @@ def centering_comparison(A: DataMatrix, k: int, seed: int = 0) -> CenteringRepor
     unc = fit_uncentered_pca(A, k, seed)
     cen = fit_centered_pca(A, k, seed)
     mean = A.row_means()
+    # the cosine does not change under scaling, and ‖mean‖ would leave
+    # float64 at either end of its range
+    mean *= range_scale(mean)
     norm = np.linalg.norm(mean)
     cosine = None if norm == 0 else float(abs(unc.components[0] @ mean) / norm)
     if A.labels is None:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import InputError
 from .linalg import DataMatrix
@@ -109,6 +108,11 @@ class NoiseSpec:
 
 
 def _truncated_gaussian_variance(scale, margin):
+    # scipy.special is imported here, by the truncated-gaussian helpers
+    # alone: at module level it adds some 4 MB and a tenth of a second to
+    # every command that imports this module, most of which never use it
+    from scipy.special import ndtr
+
     out = np.zeros_like(scale)
     live = (scale > 0) & (margin > 0)
     s, m = scale[live], margin[live]
@@ -121,6 +125,8 @@ def _truncated_gaussian_variance(scale, margin):
 
 
 def _truncated_gaussian_sample(scale, margin, uniforms):
+    from scipy.special import ndtr, ndtri  # see _truncated_gaussian_variance
+
     out = np.zeros_like(scale)
     live = (scale > 0) & (margin > 0)
     s, m, u = scale[live], margin[live], uniforms[live]

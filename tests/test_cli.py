@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +345,61 @@ class TestAnalyzeOutputs:
         assert doc["svd_driver"] == "lanczos" and doc["overall"]["excluded"] == 0
         want = fit_uncentered_pca(DataMatrix(X), 5).singular_values
         np.testing.assert_allclose(doc["singular_values"], scale * want, rtol=1e-12)
+
+
+class TestRangeEnds:
+    """Unit, 1e200 and 1e-300 copies of one labeled input give the same results."""
+
+    SCALES = ("1", "1e200", "1e-300")
+
+    def copies(self, tmp_path, d):
+        # three clusters of 70 points, close enough that no arm scores 1
+        rng = np.random.default_rng(4)
+        labels = np.arange(70) % 3
+        X = 0.45 * rng.standard_normal((d, 3))[:, labels] + rng.standard_normal((d, 70))
+        label_path = tmp_path / "labels.txt"
+        label_path.write_text("".join(f"c{c}\n" for c in labels))
+        for scale in self.SCALES:
+            np.savetxt(tmp_path / f"m{scale}.csv", float(scale) * X, fmt="%.17g", delimiter=",")
+        return label_path
+
+    def run(self, tmp_path, command, out_file, d):
+        labels = self.copies(tmp_path, d)
+        docs = []
+        for scale in self.SCALES:
+            out = tmp_path / f"out{scale}"
+            args = ["--matrix", str(tmp_path / f"m{scale}.csv"), "--labels", str(labels)]
+            assert cli.main([command, *args, "--pcs", "3", "--out-dir", str(out)]) == 0
+            docs.append(json.loads((out / out_file).read_text()))
+        return docs
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [60, 80], ids=["raw-point-form", "raw-gram-form"])
+    def test_cluster_compare_arms_match(self, tmp_path, d):
+        unit, big, small = self.run(tmp_path, "cluster-compare", "comparison.json", d)
+        assert unit["medians"]["kmeans-raw"]["ari"] < 1.0
+        assert big["arms"] == unit["arms"] and small["arms"] == unit["arms"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_centering_cosine_matches(self, tmp_path):
+        unit, big, small = self.run(tmp_path, "compare-centering", "centering.json", 60)
+        np.testing.assert_allclose(big["cosine"], unit["cosine"], rtol=1e-12)
+        np.testing.assert_allclose(small["cosine"], unit["cosine"], rtol=1e-12)
+
+
+class TestLazyImports:
+    def test_no_optimize_or_special_on_import(self):
+        script = (
+            "import sys, pcacompress.cluster, pcacompress.models, pcacompress.bounds\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestRoundTripOracle:

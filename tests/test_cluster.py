@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pcacompress import cluster
 from pcacompress.cluster import (
     ArmResult,
     Labeling,
@@ -107,6 +109,52 @@ class TestKmeans:
         points = np.array([[0.0, 0.0]] * 6 + [[9.0, 9.0]] * 6)
         result = kmeans(points, 3, seed=0)
         assert result.inertia == pytest.approx(0.0, abs=1e-18)
+
+    def test_fewer_distinct_points_than_clusters_gram_form(self, monkeypatch):
+        # the case above with more coordinates than points: the Gram form
+        # runs, and the spy checks that a cluster empties, so it reseeds
+        emptied = []
+        means = cluster._GramForm.means
+
+        def spy(self, labels, k):
+            centers, counts = means(self, labels, k)
+            emptied.append((counts == 0).any())
+            return centers, counts
+
+        monkeypatch.setattr(cluster._GramForm, "means", spy)
+        points = np.array([[0.0] * 16] * 6 + [[9.0] * 16] * 6)
+        result = kmeans(points, 3, seed=0)
+        assert any(emptied)
+        assert result.inertia == pytest.approx(0.0, abs=1e-18)
+
+    @staticmethod
+    def best_of_restarts(form, k, seed, restarts=10):
+        best = (None, np.inf)
+        for restart in range(restarts):
+            rng = np.random.Generator(np.random.Philox(key=[seed, restart]))
+            labels, inertia = cluster._lloyd(form, k, rng, 300, 1e-9)
+            if inertia < best[1]:
+                best = (labels, inertia)
+        return best
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gram_form_matches_point_form(self, sparse, seed):
+        # continuous blobs with d > n: no distance ties, so the two forms
+        # must agree on every label; the point form is the reference
+        rng = np.random.default_rng(seed)
+        n, d = 300, 2000
+        centers = rng.standard_normal((5, d))
+        points = centers[rng.integers(0, 5, n)] + 1.5 * rng.standard_normal((n, d))
+        if sparse:
+            points = sp.csr_array(points * (rng.uniform(size=(n, d)) < 0.1))
+        ref_labels, ref_inertia = self.best_of_restarts(cluster._PointForm(points), 5, seed)
+        labels, inertia = self.best_of_restarts(cluster._GramForm(points), 5, seed)
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_allclose(inertia, ref_inertia, rtol=1e-12)
+        result = kmeans(points, 5, seed=seed)
+        np.testing.assert_array_equal(result.labels, labels)
+        assert result.inertia == inertia
 
     def test_sparse_points_match_dense(self):
         rng = np.random.default_rng(13)
@@ -307,6 +355,26 @@ class TestAgreementMetrics:
         ) == 1.0
         value = best_match_accuracy(np.array([0, 1, 2, 2]), np.array([0, 0, 2, 2]))
         assert value == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accuracy_matches_bruteforce_matching(self, seed):
+        # every one-to-one matching of the smaller side into the larger,
+        # on tables with empty rows or columns and of either orientation
+        rng = np.random.default_rng(seed)
+        ka, kb = rng.integers(1, 6, size=2)
+        a = rng.integers(0, ka, size=40)
+        b = rng.integers(0, kb, size=40)
+        a[a == 0] = ka  # label 0 is empty: a zero row
+        b[:3] = kb + 1  # label kb is empty: a zero column
+        table = np.zeros((a.max() + 1, b.max() + 1), dtype=np.int64)
+        np.add.at(table, (a, b), 1)
+        small = table if table.shape[0] <= table.shape[1] else table.T
+        best = max(
+            sum(small[r, c] for r, c in enumerate(cols))
+            for cols in itertools.permutations(range(small.shape[1]), small.shape[0])
+        )
+        assert best_match_accuracy(a, b) == best / 40
+        assert best_match_accuracy(b, a) == best / 40
 
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetry_and_permutation_invariance(self, seed):
