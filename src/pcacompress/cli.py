@@ -420,6 +420,8 @@ def cmd_compare_centering(args) -> None:
 def cmd_cluster_compare(args) -> None:
     from .cluster import pipeline_compare
 
+    if args.clusters is not None and args.clusters < 1:
+        raise InputError("--clusters must be at least 1")
     A, names = _ingest(args)
     if A.labels is None:
         raise InputError("cluster-compare requires --labels")

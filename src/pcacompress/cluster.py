@@ -34,14 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import InputError, NumericalError
-from .linalg import _DENSIFY_BUDGET, DataMatrix, fit_uncentered_pca, project_columns, range_scale
+from .linalg import (
+    _DENSIFY_BUDGET, DataMatrix, as_dense, checked_matrix, fit_uncentered_pca, project_columns,
+    range_scale, squared_norms,
+)
 
 _GAIN_EPS = 1e-12
 
@@ -64,26 +67,6 @@ class Labeling:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-
-def _as_points(points) -> Union[np.ndarray, sp.csr_array]:
-    if sp.issparse(points):
-        mat = sp.csr_array(points)
-        if np.isnan(mat.data).any() or np.isinf(mat.data).any():
-            raise InputError("points must be finite")
-        return mat
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InputError("points must be a 2-D row matrix")
-    if not np.isfinite(arr).all():
-        raise InputError("points must be finite")
-    return arr
-
-
-def _row_sq_norms(X) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    return np.einsum("ij,ij->i", X, X)
 
 
 def _sq_distances(sq_norms, cross, c_norms) -> np.ndarray:
@@ -109,30 +92,26 @@ class _PointForm:
     """Centers as coordinates: x·μ is read from X Cᵀ."""
 
     def __init__(self, X):
-        self.X, self.sq_norms = X, _row_sq_norms(X)
+        self.X, self.sq_norms = X, squared_norms(X, 1)
 
     def points(self, idx) -> np.ndarray:
-        rows = self.X[idx]
-        return rows.toarray() if sp.issparse(rows) else rows
+        return as_dense(self.X[idx])
 
     def means(self, labels, k):
         counts = np.bincount(labels, minlength=k).astype(np.float64)
-        sums = _one_hot(labels, k) @ self.X
-        if sp.issparse(sums):
-            sums = sums.toarray()
+        sums = as_dense(_one_hot(labels, k) @ self.X)
         return sums / np.maximum(counts, 1.0)[:, None], counts
 
     def distances(self, centers) -> np.ndarray:
         cross = self.X @ centers.T
-        return _sq_distances(self.sq_norms, cross, np.einsum("ij,ij->i", centers, centers))
+        return _sq_distances(self.sq_norms, cross, squared_norms(centers, 1))
 
 
 class _GramForm:
     """Centers as weights b over the points (μ = Xᵀb): x·μ is read from K Bᵀ, ‖μ‖² from bᵀKb."""
 
     def __init__(self, X):
-        K = X @ X.T
-        self.K = K.toarray() if sp.issparse(K) else K
+        self.K = as_dense(X @ X.T)
         self.sq_norms = self.K.diagonal()
 
     def points(self, idx) -> np.ndarray:
@@ -208,7 +187,7 @@ def kmeans(
     checked to be non-increasing on every iteration. The module
     docstring says which form of the iteration runs when.
     """
-    X = _as_points(points)
+    X = checked_matrix(points, "csr", "points")
     n = X.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n={n}, got k={k}")
@@ -276,18 +255,16 @@ def knn_graph(points, m: int = 20, block: int = 512) -> NeighborGraph:
     Brute force with blocked distance evaluation; distance ties resolve
     to the lower index, and a point is never its own neighbor.
     """
-    X = _as_points(points)
+    X = as_dense(checked_matrix(points, "csr", "points"))
     n = X.shape[0]
     if not 1 <= m < n:
         raise InputError(f"need 1 <= m < n={n}, got m={m}")
     X, _ = _scaled(X)
-    sq_norms = _row_sq_norms(X)
-    dense = X.toarray() if sp.issparse(X) else X
-    c_norms = np.einsum("ij,ij->i", dense, dense)
+    sq_norms = squared_norms(X, 1)
     nearest = np.empty((n, m), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        D = _sq_distances(sq_norms[start:stop], X[start:stop] @ dense.T, c_norms)
+        D = _sq_distances(sq_norms[start:stop], X[start:stop] @ X.T, sq_norms)
         D[np.arange(stop - start), np.arange(start, stop)] = np.inf
         # a stable sort keeps equal distances in index order
         nearest[start:stop] = np.argsort(D, axis=1, kind="stable")[:, :m]

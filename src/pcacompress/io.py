@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, ParseError
-from .linalg import DataMatrix
+from .linalg import DataMatrix, stored
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 _MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
@@ -322,8 +322,6 @@ def load_matrix(spec: IngestSpec) -> Tuple[DataMatrix, List[str]]:
         values = _parse_csv(spec.matrix)
     if spec.transpose:
         values = values.T
-        if sp.issparse(values):
-            values = sp.csc_array(values)
     labels, names = (None, [])
     if spec.labels is not None:
         labels, names = load_labels(spec.labels, n=values.shape[1])
@@ -343,23 +341,19 @@ def log_normalize(A: DataMatrix) -> DataMatrix:
     Entries must be nonnegative; the error names the first offending
     coordinate, 1-based.
     """
-    if A.is_sparse:
-        data = A.values.data
-        if data.size and data.min() < 0:
-            coo = sp.coo_array(A.values)
-            bad = int(np.argmin(coo.data))
-            raise InputError(
-                f"negative entry {coo.data[bad]:g} at ({coo.row[bad] + 1}, {coo.col[bad] + 1})"
-            )
-        out = A.values.copy()
-        out.data = np.log1p(out.data)
-        return DataMatrix(out, labels=A.labels)
-    if A.values.size and A.values.min() < 0:
-        i, j = np.unravel_index(int(np.argmin(A.values)), A.values.shape)
+    data = stored(A.values)
+    if data.size and data.min() < 0:
+        # the first minimum in storage order: row-major for a dense matrix,
+        # column-major for a CSC one
+        coo = sp.coo_array(A.values)
+        bad = int(np.argmin(coo.data))
         raise InputError(
-            f"negative entry {A.values[i, j]:g} at ({i + 1}, {j + 1})"
+            f"negative entry {coo.data[bad]:g} at ({coo.row[bad] + 1}, {coo.col[bad] + 1})"
         )
-    return DataMatrix(np.log1p(A.values), labels=A.labels)
+    # a copy that keeps a dense matrix's memory order, so no product's bits move
+    out = A.values.astype(np.float64)
+    np.log1p(stored(out), out=stored(out))
+    return DataMatrix(out, labels=A.labels)
 
 
 def write_matrix(A: DataMatrix, path) -> None:

@@ -1,5 +1,11 @@
 """Matrix storage, truncated SVD, and PCA projectors.
 
+This is the one module that tells a dense matrix from a sparse one. The
+rest of the library reads storage through its primitives
+(:func:`checked_matrix`, :func:`stored`, :func:`as_dense`,
+:func:`squared_norms`) and its Gram products (:func:`centered_gram`, and
+the pair engine's tiles from :func:`gram_rows`).
+
 The library works on feature-by-sample matrices (columns are datapoints).
 Projections here are always onto top left singular vectors; "uncentered"
 fits use the raw matrix, "centered" fits subtract the column mean
@@ -56,8 +62,43 @@ _DENSE_CUTOFF = 500
 # the exact dense driver; beyond it the certified drivers run instead.
 _DENSIFY_BUDGET = 50_000_000
 
-# Entries per densified row block of :func:`centered_row_blocks`.
+# Entries per densified row block of :func:`_centered_row_blocks`.
 _GRAM_BLOCK_ENTRIES = 1 << 20
+
+# stored share of entries from which a sparse input's all-pairs Gram product
+# runs through dense BLAS row blocks: the sparse product costs more from
+# about 10 % nonzero on, whatever the shape
+DENSE_GRAM_DENSITY = 0.1
+
+
+def stored(M):
+    """M's stored entries: ``M.data`` for a sparse M, M itself for a dense one."""
+    return M.data if sp.issparse(M) else M
+
+
+def as_dense(M) -> np.ndarray:
+    """M as an ndarray."""
+    return M.toarray() if sp.issparse(M) else np.asarray(M)
+
+
+def checked_matrix(values, sparse_format: str, name: str):
+    """values as a float64 2-D ndarray or ``sparse_format`` ("csc", "csr") array of finite entries."""
+    if sp.issparse(values):
+        M = {"csc": sp.csc_array, "csr": sp.csr_array}[sparse_format](values, dtype=np.float64)
+    else:
+        M = np.asarray(values, dtype=np.float64)
+        if M.ndim != 2:
+            raise InputError(f"{name} must be 2-dimensional")
+    if not np.isfinite(stored(M)).all():
+        raise InputError(f"{name} contains non-finite entries")
+    return M
+
+
+def squared_norms(M, axis: int) -> np.ndarray:
+    """Squared Euclidean norms of M's columns (``axis`` 0) or rows (``axis`` 1)."""
+    if sp.issparse(M):
+        return M.multiply(M).sum(axis=axis)
+    return np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", M, M)
 
 
 class DataMatrix:
@@ -68,16 +109,7 @@ class DataMatrix:
     """
 
     def __init__(self, values, labels=None):
-        if sp.issparse(values):
-            self.values = sp.csc_array(values, dtype=np.float64)
-            finite = np.isfinite(self.values.data).all()
-        else:
-            self.values = np.asarray(values, dtype=np.float64)
-            if self.values.ndim != 2:
-                raise InputError("data matrix must be 2-dimensional")
-            finite = np.isfinite(self.values).all()
-        if not finite:
-            raise InputError("data matrix contains non-finite entries")
+        self.values = checked_matrix(values, "csc", "data matrix")
         d, n = self.values.shape
         if d < 1 or n < 2:
             raise InputError(f"need d >= 1 and n >= 2, got shape {d}x{n}")
@@ -118,14 +150,7 @@ class DataMatrix:
             return None
         return int(self.labels.max()) + 1
 
-    def toarray(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.values.toarray()
-        return self.values
-
     def row_means(self) -> np.ndarray:
-        if self.is_sparse:
-            return np.asarray(self.values.mean(axis=1)).ravel()
         return self.values.mean(axis=1)
 
 
@@ -205,7 +230,7 @@ class SymmetricEmbedding:
         return np.concatenate([np.asarray(top).ravel(), np.asarray(bottom).ravel()])
 
     def to_dense(self) -> np.ndarray:
-        m = self.matrix.toarray() if sp.issparse(self.matrix) else self.matrix
+        m = as_dense(self.matrix)
         out = np.zeros((self.size, self.size))
         out[: self.d, self.d:] = m
         out[self.d:, : self.d] = m.T
@@ -260,7 +285,7 @@ def _complete_orthonormal(U: np.ndarray, d: int, total: int, seed: int) -> np.nd
     return np.hstack([U, extra])
 
 
-def row_sliceable(M):
+def _row_sliceable(M):
     """``(R, mean)``: M as a dense or CSR array, whose row slices are cheap, and M's mean column."""
     sparse = sp.issparse(M)
     # row slices of CSR are cheap, of CSC they cost a pass over all entries
@@ -277,7 +302,7 @@ def range_scale(M) -> float:
     keep every bit. Reads the min and max (of a sparse M's stored
     entries), with no temporary the size of M.
     """
-    data = M.data if sp.issparse(M) else M
+    data = stored(M)
     top = max(-float(data.min()), float(data.max())) if data.size else 0.0
     if top == 0.0 or 2.0**-256 <= top <= 2.0**256:
         return 1.0
@@ -285,13 +310,13 @@ def range_scale(M) -> float:
     return math.ldexp(1.0, -max(math.frexp(top)[1], -1023))
 
 
-def centered_row_blocks(R, mean, start: int = 0, rows: Optional[int] = None):
+def _centered_row_blocks(R, mean, start: int = 0, rows: Optional[int] = None):
     """Columns ``start:`` of a dense or sparse R in centered, dense row blocks.
 
     Blocks are F-ordered, of ``rows`` rows (by default as many as keep a
     block within ``_GRAM_BLOCK_ENTRIES`` entries), each centered by
     ``mean`` (and, for a sparse R, densified) on its own, so no centered
-    copy of R is held. Pass R through :func:`row_sliceable` when it
+    copy of R is held. Pass R through :func:`_row_sliceable` when it
     spans more than one block.
     """
     d, n = R.shape
@@ -313,18 +338,55 @@ def centered_gram(M):
     """``(G, mean)``: the Gram matrix of M's mean-centered columns, and the mean column.
 
     ``G = (M - mean 1^T)^T (M - mean 1^T)`` is summed over the row blocks
-    of :func:`centered_row_blocks`. Centering first keeps a large shift
+    of :func:`_centered_row_blocks`. Centering first keeps a large shift
     shared by every column out of G, where it would cancel in any
     distance or noise identity read off G.
     """
     n = M.shape[1]
-    R, mean = row_sliceable(M)
+    R, mean = _row_sliceable(M)
     G = np.zeros((n, n), order="F")
-    for block in centered_row_blocks(R, mean):
+    for block in _centered_row_blocks(R, mean):
         # G's upper triangle += block^T block, in place: no n x n temporary per block
         G = scipy.linalg.blas.dsyrk(1.0, block, trans=1, beta=1.0, c=G, overwrite_c=True)
     G += np.triu(G, 1).T
     return G, mean
+
+
+def gram_rows(M, G: Optional[np.ndarray], depth: int):
+    """``(g, rows)``: the Gram matrix exact pair distances read, by row tiles.
+
+    ``g`` is its diagonal and ``rows(a, b)`` its block of rows a:b and
+    columns a:n. It is the caller's G (of the columns after any shift
+    they all share), else that of the mean-centered columns for a dense
+    M or a sparse one with at least ``DENSE_GRAM_DENSITY`` of its entries
+    stored, formed from centered row blocks ``depth`` rows deep:
+    distances ignore a shared shift, and such a shift would otherwise
+    cancel in the Gram identity. A sparser M keeps the sparse product.
+    """
+    d, n = M.shape
+    if G is not None:
+        return np.diag(G).copy(), lambda a, b: G[a:b, a:]
+    if sp.issparse(M) and M.nnz < DENSE_GRAM_DENSITY * d * n:
+        return squared_norms(M, 0), lambda a, b: (M[:, a:b].T @ M[:, a:]).toarray()
+    R, mean = _row_sliceable(M)
+    # row blocks as deep as a tile: the tile's product runs at BLAS speed,
+    # and a block is no larger than the tile
+    g = np.zeros(n)
+    for block in _centered_row_blocks(R, mean, 0, depth):
+        g += squared_norms(block, 0)
+        del block  # freed before the next block is formed
+
+    def rows(a, b):
+        out = np.zeros((b - a, n - a), order="F")
+        for block in _centered_row_blocks(R, mean, a, depth):
+            # out += block[:, :b-a]^T block, in place
+            out = scipy.linalg.blas.dgemm(
+                1.0, block[:, : b - a], block, beta=1.0, c=out, trans_a=1, overwrite_c=1
+            )
+            del block
+        return out
+
+    return g, rows
 
 
 def _gram_factors(op: _Operator, G: np.ndarray, top: Optional[int] = None):
@@ -349,7 +411,7 @@ def _gram_factors(op: _Operator, G: np.ndarray, top: Optional[int] = None):
 
 
 def _dense_svd(op: _Operator):
-    values = op.values.toarray() if sp.issparse(op.values) else op.values
+    values = as_dense(op.values)
     if op.mean is not None:
         values = values - op.mean[:, None]
     U, s, _ = scipy.linalg.svd(values, full_matrices=False)
@@ -371,13 +433,9 @@ def _is_zero(op: _Operator) -> bool:
     """Whether op is exactly zero: A is, or every column of A equals the mean."""
     M, mean = op.values, op.mean
     if mean is None:
-        return not (M.data if sp.issparse(M) else M).any()
-    if not sp.issparse(M):
-        return bool(((M.min(axis=1) == mean) & (M.max(axis=1) == mean)).all())
-    # CSC: every stored entry equals its row's mean, and a row with a
-    # nonzero mean stores all n entries
-    full = np.bincount(M.indices, minlength=M.shape[0]) == M.shape[1]
-    return bool((M.data == mean[M.indices]).all() and (full | (mean == 0)).all())
+        return not stored(M).any()
+    # a sparse M's min and max count its unstored zeros
+    return bool(((as_dense(M.min(axis=1)) == mean) & (as_dense(M.max(axis=1)) == mean)).all())
 
 
 def _lanczos_svd(op: _Operator, k: int, seed: int):
@@ -512,9 +570,7 @@ def spectral_norm(M) -> float:
         if M.ndim != 2:
             raise InputError("spectral_norm expects a 2-dimensional matrix")
     small = M if M.shape[1] <= M.shape[0] else M.T
-    G = small.T @ small
-    if sp.issparse(G):
-        G = G.toarray()
+    G = as_dense(small.T @ small)
     return float(np.sqrt(max(top_eigenvalue(G), 0.0)))
 
 

@@ -13,8 +13,9 @@ cluster pairs, :class:`PointSums` per point, the curve's two passes
 (:class:`CurveHistogram`, then the bins holding its cut points), and
 the extra-component split's counts (:func:`extra_pc_split`). All
 pairs are taken over tiles of rows of the strict upper triangle, each
-with its block of the Gram matrix, so no per-pair array outlives its
-chunk and memory grows with n times the tile, not with the pair count.
+with its block of the Gram matrix from :func:`~pcacompress.linalg.gram_rows`,
+so no per-pair array outlives its chunk and memory grows with n times
+the tile, not with the pair count.
 :func:`pair_compression` runs one pass into sinks, or keeps its chunks
 as one :class:`PairSet`.
 
@@ -30,13 +31,11 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg.blas
-import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
 from .linalg import (
-    DataMatrix, Projector, centered_row_blocks, fit_centered_pca, fit_uncentered_pca,
-    project_columns, range_scale, row_sliceable,
+    DataMatrix, Projector, fit_centered_pca, fit_uncentered_pca, gram_rows, project_columns,
+    range_scale, stored,
 )
 
 DEGENERATE_RTOL = 1e-12
@@ -45,10 +44,6 @@ _CONTRACTION_RTOL = 1e-9
 # g_i + g_j - 2 G_ij is off by a few ulps of g_i + g_j; a squared distance
 # at or below this share of g_i + g_j is recomputed by direct difference
 GRAM_RECOMPUTE_RTOL = 1e-4
-# stored share of entries from which a sparse input's all-pairs Gram product
-# runs through dense BLAS row blocks: the sparse product costs more from
-# about 10 % nonzero on, whatever the shape
-DENSE_GRAM_DENSITY = 0.1
 # entries per block of direct differences, and pairs per chunk of a pass
 _BLOCK_ENTRIES = 1 << 20
 _CHUNK_PAIRS = 1 << 15
@@ -135,9 +130,9 @@ def _direct_distances(M, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     Direct differences, taken over blocks of bounded size.
     """
     sq = np.empty(len(i))
-    # entries of one pair's difference: d, or for a sparse M at most the
-    # nonzeros of two columns
-    width = 2.0 * M.nnz / M.shape[1] if sp.issparse(M) else M.shape[0]
+    # entries of one pair's difference: at most d, and at most the stored
+    # entries of two columns
+    width = min(2.0 * stored(M).size / M.shape[1], M.shape[0])
     step = max(1, int(_BLOCK_ENTRIES // max(1.0, width)))
     for start in range(0, len(i), step):
         t = slice(start, start + step)
@@ -162,44 +157,6 @@ def _gram_distances(block, g, upper, i, j, M) -> Tuple[np.ndarray, int]:
     return sq, len(direct)
 
 
-def _gram_rows(M, G: Optional[np.ndarray] = None):
-    """``(g, rows)``: the Gram matrix the exact original distances read, by row tiles.
-
-    ``g`` is its diagonal and ``rows(a, b)`` its block of rows a:b and
-    columns a:n. It is the caller's G (of the columns after any shift
-    they all share), else that of the mean-centered columns for a dense
-    M or a sparse one with at least ``DENSE_GRAM_DENSITY`` of its entries
-    stored: distances ignore a shared shift, and such a shift would
-    otherwise cancel in the Gram identity. A sparser M keeps the sparse
-    product.
-    """
-    d, n = M.shape
-    if G is not None:
-        return np.diag(G).copy(), lambda a, b: G[a:b, a:]
-    if sp.issparse(M) and M.nnz < DENSE_GRAM_DENSITY * d * n:
-        g = np.asarray(M.multiply(M).sum(axis=0)).ravel()
-        return g, lambda a, b: (M[:, a:b].T @ M[:, a:]).toarray()
-    R, mean = row_sliceable(M)
-    # row blocks as deep as a tile: the tile's product runs at BLAS speed,
-    # and a block is no larger than the tile
-    g = np.zeros(n)
-    for block in centered_row_blocks(R, mean, 0, _TILE_ROWS):
-        g += np.einsum("ij,ij->j", block, block)
-        del block  # freed before the next block is formed
-
-    def rows(a, b):
-        out = np.zeros((b - a, n - a), order="F")
-        for block in centered_row_blocks(R, mean, a, _TILE_ROWS):
-            # out += block[:, :b-a]^T block, in place
-            out = scipy.linalg.blas.dgemm(
-                1.0, block[:, : b - a], block, beta=1.0, c=out, trans_a=1, overwrite_c=1
-            )
-            del block
-        return out
-
-    return g, rows
-
-
 def _exact_parts(M, sides, G):
     """All pairs, chunk by chunk: ``(i, j, pre, posts, recomputed)``.
 
@@ -208,7 +165,7 @@ def _exact_parts(M, sides, G):
     side's centered coordinates.
     """
     n = M.shape[1]
-    g, gram_rows = _gram_rows(M, G)
+    g, rows = gram_rows(M, G, _TILE_ROWS)
     centered = []
     for Y, widths in sides:
         Yc = Y - Y.mean(axis=1, keepdims=True)
@@ -216,7 +173,7 @@ def _exact_parts(M, sides, G):
         centered.append((Y, Yc, widths, norms))
     for a in range(0, n - 1, _TILE_ROWS):
         b = min(n - 1, a + _TILE_ROWS)
-        tile = gram_rows(a, b)
+        tile = rows(a, b)
         r0 = a
         while r0 < b:
             r1 = min(b, r0 + max(1, _CHUNK_PAIRS // (n - r0 - 1)))

@@ -595,16 +595,16 @@ class TestOneGramPerSeed:
         """Counts Gram products of a d-row draw (not of the projection) and Lanczos fits."""
         calls = {"gram": 0, "lanczos": 0}
         real_gram, real_lanczos = linalg.centered_gram, linalg._lanczos_svd
-        real_rows = metrics._gram_rows
+        real_rows = metrics.gram_rows
 
         def gram(M):
             calls["gram"] += M.shape[0] == self.MODEL["d"]
             return real_gram(M)
 
-        def rows(M, G=None):
+        def rows(M, G, depth):
             # the pair engine's own Gram tiles, formed only without a caller's G
             calls["gram"] += G is None and M.shape[0] == self.MODEL["d"]
-            return real_rows(M, G)
+            return real_rows(M, G, depth)
 
         def lanczos(*args):
             calls["lanczos"] += 1
@@ -612,7 +612,8 @@ class TestOneGramPerSeed:
 
         for module in (linalg, bounds):
             monkeypatch.setattr(module, "centered_gram", gram)
-        monkeypatch.setattr(metrics, "_gram_rows", rows)
+        # the pass reads its tile source by the name metrics imported
+        monkeypatch.setattr(metrics, "gram_rows", rows)
         monkeypatch.setattr(linalg, "_lanczos_svd", lanczos)
         return calls
 

@@ -49,6 +49,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_zero_clusters_names_the_flag(self, dataset, tmp_path, capsys):
+        matrix, labels = dataset
+        code = cli.main(
+            [
+                "cluster-compare",
+                "--matrix", str(matrix),
+                "--labels", str(labels),
+                "--clusters", "0",
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "--clusters must be at least 1" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = cli.main(
             [

@@ -187,7 +187,6 @@ class TestKnnGraph:
         rng = np.random.default_rng(3)
         points = rng.uniform(size=(100, 5))
         m = 7
-        graph = knn_graph(points, m=m, block=17)
         adj = [set() for _ in range(100)]
         for u in range(100):
             dists = [
@@ -199,8 +198,10 @@ class TestKnnGraph:
             for _, v in dists[:m]:
                 adj[u].add(v)
                 adj[v].add(u)
-        for u in range(100):
-            assert set(graph.neighbors(u).tolist()) == adj[u]
+        for storage in (np.asarray, sp.csr_array):
+            graph = knn_graph(storage(points), m=m, block=17)
+            for u in range(100):
+                assert set(graph.neighbors(u).tolist()) == adj[u]
 
     def test_full_m_gives_complete_graph(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +17,26 @@ def spiked_matrix(d, n, rank, noise, seed):
     right = scipy.linalg.qr(rng.standard_normal((n, rank)), mode="economic")[0]
     scales = np.linspace(2 * rank, rank, rank)
     return left @ (scales[:, None] * right.T) + noise * rng.standard_normal((d, n))
+
+
+def ones_with_one_unstored(d, n):
+    """A CSC matrix of ones but for one unstored entry: not constant along its rows."""
+    M = np.ones((d, n))
+    M[7, 9] = 0.0
+    return sp.csc_array(M)
+
+
+def test_only_linalg_tells_dense_from_sparse():
+    """No module but linalg calls issparse; the others read its storage primitives."""
+    callers = []
+    for path in sorted(Path(la.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "issparse":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers and all(c.startswith("linalg.py:") for c in callers), callers
 
 
 class TestDataMatrix:
@@ -125,24 +148,42 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(P.singular_values, s[:19], rtol=1e-10)
 
     @pytest.mark.parametrize(
-        "values, centered",
+        "values, centered, zero",
         [
-            (np.zeros((150, 120)), False),
-            (sp.csc_array((150, 120)), False),
-            (np.ones((150, 120)), True),
+            (np.zeros((150, 120)), False, True),
+            (sp.csc_array((150, 120)), False, True),
+            (np.ones((150, 120)), True, True),
+            # 128 columns, so a sparse row mean (a sum times 1/n) is exact;
+            # every other row unstored
+            (sp.csc_array(np.outer(np.tile([0.0, 1.0], 75) * np.arange(150), np.ones(128))),
+             True, True),
+            (sp.csc_array(np.outer(np.arange(1.0, 151.0), np.ones(128))), True, True),
+            (ones_with_one_unstored(150, 120), True, False),
         ],
-        ids=["zero-dense", "zero-sparse", "identical-columns-centered"],
+        ids=[
+            "zero-dense", "zero-sparse", "identical-columns-centered",
+            "identical-columns-centered-csc", "constant-rows-stored-centered-csc",
+            "one-unstored-entry-centered-csc",
+        ],
     )
-    def test_zero_operator_never_reaches_arpack(self, monkeypatch, values, centered):
+    def test_zero_operator_never_reaches_arpack(self, monkeypatch, values, centered, zero):
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
+        real_svds, calls = la.scipy.sparse.linalg.svds, []
 
         def arpack(*args, **kwargs):
-            raise AssertionError("ARPACK ran on a zero operator")
+            if zero:
+                raise AssertionError("ARPACK ran on a zero operator")
+            calls.append(1)
+            return real_svds(*args, **kwargs)
 
         monkeypatch.setattr(la.scipy.sparse.linalg, "svds", arpack)
         fit = la.fit_centered_pca if centered else la.fit_uncentered_pca
         P, again = (fit(la.DataMatrix(values), 3) for _ in range(2))
         assert P.driver == "lanczos" and P.residual is None
+        if not zero:
+            # one row off its mean: a rank-one centered operator
+            assert calls == [1, 1] and P.s1 > 0
+            return
         assert P.gap_warning
         np.testing.assert_array_equal(P.singular_values, np.zeros(3))
         np.testing.assert_allclose(P.components @ P.components.T, np.eye(3), atol=1e-12)

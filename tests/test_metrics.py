@@ -10,9 +10,8 @@ import scipy.stats
 
 from pcacompress import metrics
 from pcacompress.errors import InputError
-from pcacompress.linalg import DataMatrix, Projector, fit_uncentered_pca
+from pcacompress.linalg import DENSE_GRAM_DENSITY, DataMatrix, Projector, fit_uncentered_pca
 from pcacompress.metrics import (
-    DENSE_GRAM_DENSITY,
     GRAM_RECOMPUTE_RTOL,
     ClusterPairTable,
     CurveHistogram,
