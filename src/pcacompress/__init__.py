@@ -5,33 +5,9 @@ same-cluster distances than cross-cluster distances, verifies the
 closed-form concentration bounds that predict this gap on synthetic
 random-vector models, and compares raw versus post-PCA clustering.
 
-Submodules are imported lazily so that the command-line entry point can
-pin BLAS thread counts before any numerical library loads.
+Importing the package loads no submodule, so the command-line entry
+point can pin BLAS thread counts before any numerical library loads;
+import each submodule by name (``from pcacompress import bounds``).
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "linalg",
-    "models",
-    "metrics",
-    "bounds",
-    "cluster",
-    "io",
-    "cli",
-    "errors",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

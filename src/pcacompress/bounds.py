@@ -43,8 +43,7 @@ class BoundParams:
     the model, ``sigma_j[j]`` the per-cluster value, ``separations`` the
     matrix of center distances, and ``s_k`` the k-th singular value of
     the mean matrix (or of the data matrix when calibrating against an
-    instance). ``C0`` is the spectral-norm calibration constant and
-    ``c0`` the random-projection tail exponent.
+    instance). ``C0`` is the spectral-norm calibration constant.
     """
 
     d: int
@@ -55,7 +54,6 @@ class BoundParams:
     separations: np.ndarray
     s_k: float
     C0: float = 1.0
-    c0: float = 4.0
 
     def __post_init__(self):
         self.sigma_j = np.asarray(self.sigma_j, dtype=np.float64)
@@ -68,8 +66,8 @@ class BoundParams:
             raise InputError(f"sigma_j must have one entry per cluster, got {self.sigma_j.shape}")
         if self.separations.shape != (self.k, self.k):
             raise InputError("separations must be a k x k matrix")
-        if self.C0 <= 0 or self.c0 <= 1:
-            raise InputError("need C0 > 0 and c0 > 1")
+        if self.C0 <= 0:
+            raise InputError("need C0 > 0")
 
     @property
     def sigma_condition_met(self) -> bool:
@@ -77,7 +75,7 @@ class BoundParams:
         return self.sigma >= self.C0 * math.log(self.n) / self.n
 
     @classmethod
-    def from_model(cls, model: RandomVectorModel, C0: float = 1.0, c0: float = 4.0,
+    def from_model(cls, model: RandomVectorModel, C0: float = 1.0,
                    s_k: Optional[float] = None) -> "BoundParams":
         stats = model_stats(model)
         return cls(
@@ -89,7 +87,6 @@ class BoundParams:
             separations=stats.separations,
             s_k=stats.s_k if s_k is None else float(s_k),
             C0=C0,
-            c0=c0,
         )
 
 
@@ -333,16 +330,44 @@ class NoiseNormCheck:
     source: str
 
 
-def noise_norm_check(model: RandomVectorModel, seed: int, C0: float = 1.0) -> NoiseNormCheck:
-    """Spectral norm of one instance's noise block versus C0 sigma sqrt(d+n)."""
+@dataclass
+class _Draw:
+    """One seed's measurements, none depending on C0: the noise norm and its
+    source, and after a fit its s_k, driver, residual and pair extremes."""
+
+    noise_norm: float
+    noise_source: str
+    s_k: Optional[float] = None
+    driver: Optional[str] = None
+    residual: Optional[float] = None
+    table: Optional[ClusterPairTable] = None
+
+
+def _draw(model: RandomVectorModel, seed: int, kprime: Optional[int] = None) -> _Draw:
+    """Draw the seed's dataset and measure it, fitting top-k' uncentered PCA when given k'.
+
+    The dataset's centered Gram matrix is formed once; the fit (when it
+    is past the dense driver), the original pair distances and the noise
+    norm all read it. Neither the dataset nor the Gram matrix outlives
+    the call.
+    """
     A = generate_dataset(model, seed)
-    return _noise_norm_check(model, A, C0, *centered_gram(A.values))
+    G, mean = centered_gram(A.values)
+    fit = {}
+    if kprime is not None:
+        P = fit_uncentered_pca(A, kprime, gram=(G, mean))
+        table = ClusterPairTable(A.labels, extremes=True)
+        pair_compression(A, P, gram=G, sinks=(table,))
+        s_k = float(P.singular_values[model.k - 1])
+        fit = dict(s_k=s_k, driver=P.driver, residual=P.residual, table=table)
+    return _Draw(*_noise_norm(model, A, G, mean), **fit)
 
 
-def _noise_norm_check(
-    model: RandomVectorModel, A: DataMatrix, C0: float, G: np.ndarray, mean: np.ndarray
-) -> NoiseNormCheck:
-    """The check on A, given the centered Gram matrix G and mean column of ``A.values``.
+def _noise_norm(
+    model: RandomVectorModel, A: DataMatrix, G: np.ndarray, mean: np.ndarray
+) -> Tuple[float, str]:
+    """``(estimate, source)``: ||E|| of A's noise block E, given the centered Gram matrix
+    G and mean column of ``A.values``.
 
     With the d x k centers C, the one-hot memberships Z and D = C - mean 1^T,
     the noise block is E = (A - mean 1^T) - D Z^T, so
@@ -356,15 +381,24 @@ def _noise_norm_check(
     noise_gram = G - HZ - HZ.T + (D.T @ D)[np.ix_(labels, labels)]
     top = top_eigenvalue(noise_gram)
     if top > 0 and np.finfo(float).eps * np.diag(G).max() <= NOISE_GRAM_RTOL * top:
-        estimate, source = math.sqrt(top), "gram"
-    else:
-        # E = A - mean matrix, built in the mean matrix's own buffer so
-        # the fallback holds only A and E
-        E = model.mean_matrix()
-        np.subtract(A.values, E, out=E)
-        estimate, source = spectral_norm(E), "direct"
-    bound = C0 * math.sqrt(model_stats(model).sigma_sq) * math.sqrt(model.d + model.n)
-    return NoiseNormCheck(estimate, bound, estimate <= bound, source)
+        return math.sqrt(top), "gram"
+    # E = A - mean matrix, built in the mean matrix's own buffer so
+    # the fallback holds only A and E
+    E = model.mean_matrix()
+    np.subtract(A.values, E, out=E)
+    return spectral_norm(E), "direct"
+
+
+def _noise_bound(model: RandomVectorModel, C0: float) -> float:
+    """C0 sigma sqrt(d + n), the bound on the noise block's spectral norm."""
+    return C0 * math.sqrt(model_stats(model).sigma_sq) * math.sqrt(model.d + model.n)
+
+
+def noise_norm_check(model: RandomVectorModel, seed: int, C0: float = 1.0) -> NoiseNormCheck:
+    """Spectral norm of one instance's noise block versus C0 sigma sqrt(d+n)."""
+    draw = _draw(model, seed)
+    bound = _noise_bound(model, C0)
+    return NoiseNormCheck(draw.noise_norm, bound, draw.noise_norm <= bound, draw.noise_source)
 
 
 @dataclass
@@ -414,7 +448,6 @@ class BoundReport:
     s_k_empirical: float
     sigma_condition_met: bool
     trials: int = 0
-    params: Optional[BoundParams] = field(default=None, repr=False)
     fit_drivers: List[str] = field(default_factory=list)
     fit_residuals: List[Optional[float]] = field(default_factory=list)
     noise_norm_sources: List[str] = field(default_factory=list)
@@ -442,49 +475,47 @@ class BoundReport:
         }
 
 
-class _Extremes:
-    """Running worst-case tracker for one (bound, cluster-tuple) record."""
+def _record(bound, clusters, kind, analytic, worst, vacuous, trials) -> BoundRecord:
+    """One bound's record from its per-seed lists of analytic values, worst values and vacuity.
 
-    def __init__(self, kind: str):
-        self.kind = kind  # "lower": empirical min vs bound; "upper": max
-        self.worst: Optional[float] = None
-        self.violations = 0
-        self.vacuous = False
-        self.analytic: Optional[float] = None
-
-    def update(self, analytic: Optional[float], empirical: Optional[float], vacuous: bool):
-        self.analytic = analytic
-        if vacuous:
-            self.vacuous = True
-        if empirical is None:
-            return
-        if self.worst is None:
-            self.worst = empirical
-        elif self.kind == "lower":
-            self.worst = min(self.worst, empirical)
-        else:
-            self.worst = max(self.worst, empirical)
-        if not vacuous and analytic is not None:
-            if self.kind == "lower" and empirical < analytic:
-                self.violations += 1
-            if self.kind == "upper" and empirical > analytic:
-                self.violations += 1
+    The empirical value is the smallest worst value for a ``lower`` bound,
+    the largest for an ``upper`` one. A seed is a violation when its worst
+    value lies past a non-vacuous bound; a worst value of None (absent)
+    is neither. The analytic value reported is the last seed's.
+    """
+    lower = kind == "lower"
+    present = [w for w in worst if w is not None]
+    violations = sum(
+        1 for b, w, v in zip(analytic, worst, vacuous)
+        if w is not None and not v and (w < b if lower else w > b)
+    )
+    last = analytic[-1] if analytic else None
+    empirical = (min if lower else max)(present, default=None)
+    return BoundRecord(bound, clusters, last, empirical, violations, trials, any(vacuous))
 
 
-# Each pair bound: its name, function, the pair quantity it is checked on
-# and its kind. A lower bound is checked against its cell's smallest
-# value, an upper bound against its largest. Upper bounds are always
-# positive, so an absent or non-positive bound is vacuous.
-_INTRA_BOUNDS = (
-    ("pre-intra-lower", pre_pca_intra_lower, "pre", "lower"),
-    ("post-intra-upper", post_pca_intra_upper, "post", "upper"),
-    ("intra-ratio-lower", intra_ratio_lower, "ratio", "lower"),
+# Each pair bound: whether it is an intra (one-cluster) bound, its name,
+# function, the pair quantity it is checked on and its kind. A lower
+# bound is checked against its cell's smallest value, an upper bound
+# against its largest. Upper bounds are always positive, so an absent or
+# non-positive bound is vacuous.
+_PAIR_BOUNDS = (
+    (True, "pre-intra-lower", pre_pca_intra_lower, "pre", "lower"),
+    (True, "post-intra-upper", post_pca_intra_upper, "post", "upper"),
+    (True, "intra-ratio-lower", intra_ratio_lower, "ratio", "lower"),
+    (False, "pre-inter-upper", pre_pca_inter_upper, "pre", "upper"),
+    (False, "post-inter-lower", post_pca_inter_lower, "post", "lower"),
+    (False, "inter-ratio-upper", inter_ratio_upper, "ratio", "upper"),
 )
-_INTER_BOUNDS = (
-    ("pre-inter-upper", pre_pca_inter_upper, "pre", "upper"),
-    ("post-inter-lower", post_pca_inter_lower, "post", "lower"),
-    ("inter-ratio-upper", inter_ratio_upper, "ratio", "upper"),
-)
+
+
+def _worst(table: ClusterPairTable, quantity: str, kind: str, cell) -> Optional[float]:
+    """A cell's smallest value of a quantity for a lower bound, its largest for an upper one."""
+    if kind == "upper":
+        return float(table.max[quantity][cell])
+    value = float(table.min[quantity][cell])
+    # a smallest ratio of +inf means the cell has no finite ratio
+    return None if value == np.inf else value
 
 
 def verify_bounds(
@@ -496,16 +527,13 @@ def verify_bounds(
 ) -> BoundReport:
     """Generate instances and test every closed-form bound against them.
 
-    For each seed: generate the dataset, fit top-k' uncentered PCA,
-    compute all pair distances, and compare each bound with the
-    matching empirical extreme (worst pair); the noise-norm record
-    checks the same dataset's noise block. The dataset's centered Gram
-    matrix is formed once per seed, and the fit (when it is past the
-    dense driver), the original pair distances and the noise norm all
-    read it. ``kprime`` defaults to the model's k. With
-    ``use_empirical_sk`` the bounds are re-evaluated per seed using the
-    instance's own k-th singular value; the reported analytic value is
-    then the last seed's.
+    Every seed is drawn and measured first, once: its dataset, a fit of
+    top-k' uncentered PCA, the worst pair of each cluster pair, and its
+    noise norm (see :func:`_draw`). Each bound is then evaluated and
+    compared with those per-seed extremes; C0 enters only here.
+    ``kprime`` defaults to the model's k. With ``use_empirical_sk`` the
+    bounds are evaluated per seed with the instance's own k-th singular
+    value; the reported analytic value is then the last seed's.
     """
     k = model.k
     kprime = k if kprime is None else kprime
@@ -516,63 +544,31 @@ def verify_bounds(
         raise InputError("need at least one seed")
 
     base = BoundParams.from_model(model, C0=C0)
-    # one tracker per record, with the bound and quantity it checks
-    checks = []
+    draws = [_draw(model, seed, kprime) for seed in seed_list]
+    params = [dataclasses.replace(base, s_k=d.s_k) if use_empirical_sk else base for d in draws]
+    trials = len(draws)
+    records = []
     for j, jp in itertools.combinations_with_replacement(range(k), 2):
         clusters = (j,) if j == jp else (j, jp)
-        for name, bound, quantity, kind in _INTRA_BOUNDS if j == jp else _INTER_BOUNDS:
-            checks.append((name, clusters, bound, quantity, _Extremes(kind)))
-    noise = _Extremes("upper")
-
-    sk_empirical, drivers, residuals, sources = [], [], [], []
-    for seed in seed_list:
-        A = generate_dataset(model, seed)
-        G, mean = centered_gram(A.values)
-        P = fit_uncentered_pca(A, kprime, gram=(G, mean))
-        drivers.append(P.driver)
-        residuals.append(P.residual)
-        sk_seed = float(P.singular_values[k - 1])
-        sk_empirical.append(sk_seed)
-        params = base
-        if use_empirical_sk:
-            params = BoundParams.from_model(model, C0=C0, s_k=sk_seed)
-        table = ClusterPairTable(A.labels, extremes=True)
-        pair_compression(A, P, gram=G, sinks=(table,))
-        for _, clusters, bound, quantity, tracker in checks:
-            cell = (clusters[0], clusters[-1])
-            if not table.count[cell]:
+        # a one-point cluster's cell holds no pairs, and no seed measures it
+        measured = [(d.table, p) for d, p in zip(draws, params) if d.table.count[j, jp]]
+        for intra, name, bound, quantity, kind in _PAIR_BOUNDS:
+            if intra != (j == jp):
                 continue
-            b = bound(params, *clusters)
-            lower = tracker.kind == "lower"
-            worst = float((table.min if lower else table.max)[quantity][cell])
-            # a smallest ratio of +inf means the cell has no finite ratio
-            empirical = None if lower and worst == np.inf else worst
-            tracker.update(b, empirical, vacuous=b is None or b <= 0.0)
-        check = _noise_norm_check(model, A, C0, G, mean)
-        sources.append(check.source)
-        noise.update(check.bound, check.estimate, vacuous=False)
-
-    checks.append(("noise-norm", (), None, None, noise))
-    records = [
-        BoundRecord(
-            bound=name,
-            clusters=clusters,
-            analytic=t.analytic,
-            empirical=t.worst,
-            violations=t.violations,
-            trials=len(seed_list),
-            vacuous=t.vacuous,
-        )
-        for name, clusters, _, _, t in checks
-    ]
+            analytic = [bound(p, *clusters) for _, p in measured]
+            worst = [_worst(table, quantity, kind, (j, jp)) for table, _ in measured]
+            vacuous = [b is None or b <= 0.0 for b in analytic]
+            records.append(_record(name, clusters, kind, analytic, worst, vacuous, trials))
+    norms = [d.noise_norm for d in draws]
+    noise_bounds = [_noise_bound(model, C0)] * trials
+    records.append(_record("noise-norm", (), "upper", noise_bounds, norms, [False] * trials, trials))
     return BoundReport(
         records=records,
         s_k_analytic=base.s_k,
-        s_k_empirical=float(np.mean(sk_empirical)),
+        s_k_empirical=float(np.mean([d.s_k for d in draws])),
         sigma_condition_met=base.sigma_condition_met,
-        trials=len(seed_list),
-        params=base,
-        fit_drivers=drivers,
-        fit_residuals=residuals,
-        noise_norm_sources=sources,
+        trials=trials,
+        fit_drivers=[d.driver for d in draws],
+        fit_residuals=[d.residual for d in draws],
+        noise_norm_sources=[d.noise_source for d in draws],
     )

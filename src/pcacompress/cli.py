@@ -132,7 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise InputError(f"cannot use --out-dir {out}: {err}")
     return out
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +47,13 @@ from .linalg import (
 )
 
 _GAIN_EPS = 1e-12
+# k-means: Lloyd iterations per restart at most, the relative inertia
+# change that ends them, and restarts per call
+_MAX_ITER = 300
+_TOL = 1e-9
+_RESTARTS = 10
+# points per block of knn_graph's distance evaluation
+_KNN_BLOCK = 512
 
 
 @dataclass
@@ -130,7 +137,7 @@ class _GramForm:
         return _sq_distances(self.sq_norms, cross, np.einsum("ji,ij->j", centers, cross))
 
 
-def _lloyd(form, k, rng, max_iter, tol):
+def _lloyd(form, k, rng):
     n = len(form.sq_norms)
     # k-means++ seeding
     chosen = [int(rng.integers(n))]
@@ -147,7 +154,7 @@ def _lloyd(form, k, rng, max_iter, tol):
 
     previous = math.inf
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         D = form.distances(centers)
         labels = D.argmin(axis=1)
         inertia = float(D[np.arange(n), labels].sum())
@@ -163,7 +170,7 @@ def _lloyd(form, k, rng, max_iter, tol):
             far = int(point_d.argmax())
             centers[c] = form.points([far])[0]
             labels[far] = c
-        if previous - inertia <= tol * max(inertia, 1.0) and previous < math.inf:
+        if previous - inertia <= _TOL * max(inertia, 1.0) and previous < math.inf:
             previous = inertia
             break
         previous = inertia
@@ -173,15 +180,8 @@ def _lloyd(form, k, rng, max_iter, tol):
     return labels, inertia
 
 
-def kmeans(
-    points,
-    k: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-9,
-    restarts: int = 10,
-) -> Labeling:
-    """Lloyd's algorithm with k-means++ seeding, best of ``restarts``.
+def kmeans(points, k: int, seed: int = 0) -> Labeling:
+    """Lloyd's algorithm with k-means++ seeding, best of ``_RESTARTS``.
 
     ``points`` holds one point per row, dense or sparse. Inertia is
     checked to be non-increasing on every iteration. The module
@@ -191,14 +191,12 @@ def kmeans(
     n = X.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n={n}, got k={k}")
-    if restarts < 1 or max_iter < 1:
-        raise InputError("restarts and max_iter must be positive")
     X, scale = _scaled(X)
     form = _GramForm(X) if n <= X.shape[1] and n * n <= _DENSIFY_BUDGET else _PointForm(X)
     best_labels, best_inertia = None, math.inf
-    for restart in range(restarts):
+    for restart in range(_RESTARTS):
         rng = np.random.Generator(np.random.Philox(key=[seed, restart]))
-        labels, inertia = _lloyd(form, k, rng, max_iter, tol)
+        labels, inertia = _lloyd(form, k, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return Labeling(best_labels, k, inertia=best_inertia / scale / scale)
@@ -249,7 +247,7 @@ class NeighborGraph:
         return v in self.neighbors(u)
 
 
-def knn_graph(points, m: int = 20, block: int = 512) -> NeighborGraph:
+def knn_graph(points, m: int = 20) -> NeighborGraph:
     """Exact m-nearest-neighbor graph, edges unioned to undirected.
 
     Brute force with blocked distance evaluation; distance ties resolve
@@ -262,8 +260,8 @@ def knn_graph(points, m: int = 20, block: int = 512) -> NeighborGraph:
     X, _ = _scaled(X)
     sq_norms = squared_norms(X, 1)
     nearest = np.empty((n, m), dtype=np.int64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _KNN_BLOCK):
+        stop = min(start + _KNN_BLOCK, n)
         D = _sq_distances(sq_norms[start:stop], X[start:stop] @ X.T, sq_norms)
         D[np.arange(stop - start), np.arange(start, stop)] = np.inf
         # a stable sort keeps equal distances in index order

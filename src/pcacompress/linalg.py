@@ -62,8 +62,10 @@ _DENSE_CUTOFF = 500
 # the exact dense driver; beyond it the certified drivers run instead.
 _DENSIFY_BUDGET = 50_000_000
 
-# Entries per densified row block of :func:`_centered_row_blocks`.
-_GRAM_BLOCK_ENTRIES = 1 << 20
+# Entries per dense working block: a centered row block of
+# :func:`_centered_row_blocks`, or a block of the pair engine's direct
+# differences.
+_BLOCK_ENTRIES = 1 << 20
 
 # stored share of entries from which a sparse input's all-pairs Gram product
 # runs through dense BLAS row blocks: the sparse product costs more from
@@ -151,7 +153,9 @@ class DataMatrix:
         return int(self.labels.max()) + 1
 
     def row_means(self) -> np.ndarray:
-        return self.values.mean(axis=1)
+        # a sum divided by n, as numpy's mean is: a sparse array's mean
+        # multiplies by 1/n, which leaves a constant row's mean inexact
+        return self.values.sum(axis=1) / self.n
 
 
 @dataclass
@@ -213,8 +217,6 @@ class SymmetricEmbedding:
     """
 
     def __init__(self, matrix):
-        if isinstance(matrix, DataMatrix):
-            matrix = matrix.values
         if not sp.issparse(matrix):
             matrix = np.asarray(matrix, dtype=np.float64)
         self.matrix = matrix
@@ -314,24 +316,15 @@ def _centered_row_blocks(R, mean, start: int = 0, rows: Optional[int] = None):
     """Columns ``start:`` of a dense or sparse R in centered, dense row blocks.
 
     Blocks are F-ordered, of ``rows`` rows (by default as many as keep a
-    block within ``_GRAM_BLOCK_ENTRIES`` entries), each centered by
-    ``mean`` (and, for a sparse R, densified) on its own, so no centered
-    copy of R is held. Pass R through :func:`_row_sliceable` when it
-    spans more than one block.
+    block within ``_BLOCK_ENTRIES`` entries), each centered by ``mean``
+    (and, for a sparse R, densified) on its own, so no centered copy of R
+    is held. Pass R through :func:`_row_sliceable` when it spans more
+    than one block.
     """
     d, n = R.shape
-    rows = max(1, _GRAM_BLOCK_ENTRIES // (n - start)) if rows is None else rows
+    rows = max(1, _BLOCK_ENTRIES // (n - start)) if rows is None else rows
     for r in range(0, d, rows):
-        block = R[r : r + rows, start:]
-        if sp.issparse(block):
-            # C-ordered from CSR, F-ordered from CSC: neither converts formats
-            block = block.toarray()
-            if block.flags.f_contiguous:
-                # centered in place: one dense copy per block
-                block -= mean[r : r + rows, None]
-                yield block
-                continue
-        yield np.subtract(block, mean[r : r + rows, None], order="F")
+        yield np.subtract(as_dense(R[r : r + rows, start:]), mean[r : r + rows, None], order="F")
 
 
 def centered_gram(M):

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import (
-    DataMatrix, Projector, fit_centered_pca, fit_uncentered_pca, gram_rows, project_columns,
-    range_scale, stored,
+    _BLOCK_ENTRIES, DataMatrix, Projector, fit_centered_pca, fit_uncentered_pca, gram_rows,
+    project_columns, range_scale, stored,
 )
 
 DEGENERATE_RTOL = 1e-12
@@ -44,8 +44,7 @@ _CONTRACTION_RTOL = 1e-9
 # g_i + g_j - 2 G_ij is off by a few ulps of g_i + g_j; a squared distance
 # at or below this share of g_i + g_j is recomputed by direct difference
 GRAM_RECOMPUTE_RTOL = 1e-4
-# entries per block of direct differences, and pairs per chunk of a pass
-_BLOCK_ENTRIES = 1 << 20
+# pairs per chunk of a pass
 _CHUNK_PAIRS = 1 << 15
 # rows of the strict upper triangle per Gram tile: enough for the tile's
 # product to run at BLAS speed, few enough that n x tile stays small

@@ -60,8 +60,8 @@ class NoiseSpec:
             if self.scale is None:
                 raise InputError(f"{self.family} noise requires a scale")
             self.scale = np.asarray(self.scale, dtype=np.float64)
-            if np.any(self.scale < 0):
-                raise InputError("noise scale must be nonnegative")
+            if not np.all(np.isfinite(self.scale) & (self.scale >= 0)):
+                raise InputError("noise scale must be finite and nonnegative")
 
     def scale_vector(self, d: int) -> Optional[np.ndarray]:
         if self.scale is None:
@@ -151,7 +151,8 @@ class RandomVectorModel:
         self.centers = np.asarray(self.centers, dtype=np.float64)
         if self.centers.ndim != 2:
             raise InputError("centers must be a k x d array")
-        if np.any(self.centers < 0) or np.any(self.centers > 1):
+        # written so that a NaN entry fails too
+        if not np.all((self.centers >= 0) & (self.centers <= 1)):
             raise InputError("center entries must lie in [0, 1]")
         self.sizes = [int(s) for s in self.sizes]
         if len(self.sizes) != self.k or any(s < 1 for s in self.sizes):
@@ -231,11 +232,13 @@ def save_model(model: RandomVectorModel, path) -> None:
 
 
 def load_model(path) -> RandomVectorModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise InputError(f"{path}: not valid JSON ({err})")
+    except json.JSONDecodeError as err:
+        raise InputError(f"{path}: not valid JSON ({err})")
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"cannot read model {path}: {err}")
     return RandomVectorModel.from_dict(doc)
 
 

@@ -89,9 +89,6 @@ class TestBoundParams:
         with pytest.raises(InputError):
             BoundParams(d=10, n=5, k=1, sigma=0.1, sigma_j=np.zeros(1),
                         separations=np.zeros((1, 1)), s_k=1.0, C0=0.0)
-        with pytest.raises(InputError):
-            BoundParams(d=10, n=5, k=1, sigma=0.1, sigma_j=np.zeros(1),
-                        separations=np.zeros((1, 1)), s_k=1.0, c0=1.0)
 
     def test_sigma_floor_flag(self):
         ok = two_cluster_params(40000, 60.0, 1161.8950038622251)
@@ -563,6 +560,32 @@ class TestVerifyBounds:
         rec = report.record("noise-norm")
         assert rec.empirical == check.estimate
         assert rec.analytic == check.bound
+
+    def test_violations_count_the_seeds_past_each_bound(self):
+        # min(d, n) = 60, so every fit runs the exact dense driver
+        model = sbm_rectangular(150, [30, 30], p=0.7, q=0.3)
+        seeds = list(range(6))
+        ratios = np.sort(calibrate_c0(model, seeds).ratios)
+        C0 = float(ratios[1] + ratios[2]) / 2.0  # two seeds pass, four fail
+        report = verify_bounds(model, seeds, C0=C0, use_empirical_sk=True)
+        failed = sum(not noise_norm_check(model, seed, C0).passed for seed in seeds)
+        rec = report.record("noise-norm")
+        assert rec.violations == failed == 4
+        assert rec.trials == len(seeds)
+        # every pair bound reports the last seed's analytic value
+        last = fit_uncentered_pca(generate_dataset(model, seeds[-1]), model.k)
+        assert last.driver == "dense"
+        params = BoundParams.from_model(model, C0=C0, s_k=last.singular_values[-1])
+        bound_of = {
+            "pre-intra-lower": pre_pca_intra_lower,
+            "post-intra-upper": post_pca_intra_upper,
+            "intra-ratio-lower": intra_ratio_lower,
+            "pre-inter-upper": pre_pca_inter_upper,
+            "post-inter-lower": post_pca_inter_lower,
+            "inter-ratio-upper": inter_ratio_upper,
+        }
+        for rec in report.records[:-1]:
+            assert rec.analytic == bound_of[rec.bound](params, *rec.clusters)
 
     def test_report_serializes_to_json(self):
         model = sbm_rectangular(80, [20, 20], p=0.8, q=0.2)

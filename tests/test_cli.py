@@ -110,6 +110,15 @@ class TestExitCodes:
             ({"centers": [[0.5]], "sizes": [2],
               "noise": [{"family": "uniform-symmetric", "scale": "big"}]},
              "malformed model field"),
+            ({"centers": [[0.5, float("nan")]], "sizes": [2],
+              "noise": [{"family": "bernoulli-residual"}]},
+             "center entries must lie in [0, 1]"),
+            ({"centers": [[0.5]], "sizes": [2],
+              "noise": [{"family": "truncated-gaussian", "scale": float("nan")}]},
+             "noise scale must be finite and nonnegative"),
+            ({"centers": [[0.5]], "sizes": [2],
+              "noise": [{"family": "truncated-gaussian", "scale": float("inf")}]},
+             "noise scale must be finite and nonnegative"),
         ],
     )
     def test_malformed_model_document(self, doc, message, tmp_path, capsys):
@@ -118,6 +127,22 @@ class TestExitCodes:
         code = cli.main(["simulate", "--model", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-dir-is-a-file"])
+    def test_unusable_path_is_input_error(self, case, model_path, tmp_path, capsys):
+        model, out = model_path, tmp_path / "out"
+        if case == "missing":
+            model = tmp_path / "absent.json"
+        elif case == "directory":
+            model = tmp_path
+        elif case == "not-utf8":
+            model = tmp_path / "latin1.json"
+            model.write_bytes(json.dumps(MODEL).encode() + b" \xff")
+        else:
+            out.write_text("")
+        code = cli.main(["simulate", "--model", str(model), "--out-dir", str(out)])
+        assert code == 2
+        assert str(out if case == "out-dir-is-a-file" else model) in capsys.readouterr().err
 
 
 class TestManifest:

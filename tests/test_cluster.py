@@ -132,7 +132,7 @@ class TestKmeans:
         best = (None, np.inf)
         for restart in range(restarts):
             rng = np.random.Generator(np.random.Philox(key=[seed, restart]))
-            labels, inertia = cluster._lloyd(form, k, rng, 300, 1e-9)
+            labels, inertia = cluster._lloyd(form, k, rng)
             if inertia < best[1]:
                 best = (labels, inertia)
         return best
@@ -183,7 +183,9 @@ class TestKnnGraph:
         assert not graph.has_edge(0, 2)
         assert graph.edge_count == 2
 
-    def test_matches_quadratic_oracle(self):
+    def test_matches_quadratic_oracle(self, monkeypatch):
+        # blocks of 17 points, so the last block is a partial one
+        monkeypatch.setattr(cluster, "_KNN_BLOCK", 17)
         rng = np.random.default_rng(3)
         points = rng.uniform(size=(100, 5))
         m = 7
@@ -199,7 +201,7 @@ class TestKnnGraph:
                 adj[u].add(v)
                 adj[v].add(u)
         for storage in (np.asarray, sp.csr_array):
-            graph = knn_graph(storage(points), m=m, block=17)
+            graph = knn_graph(storage(points), m=m)
             for u in range(100):
                 assert set(graph.neighbors(u).tolist()) == adj[u]
 

@@ -153,17 +153,19 @@ class TestTruncatedSvd:
             (np.zeros((150, 120)), False, True),
             (sp.csc_array((150, 120)), False, True),
             (np.ones((150, 120)), True, True),
-            # 128 columns, so a sparse row mean (a sum times 1/n) is exact;
             # every other row unstored
             (sp.csc_array(np.outer(np.tile([0.0, 1.0], 75) * np.arange(150), np.ones(128))),
              True, True),
             (sp.csc_array(np.outer(np.arange(1.0, 151.0), np.ones(128))), True, True),
             (ones_with_one_unstored(150, 120), True, False),
+            # 120 columns: a row mean taken as a sum times 1/n is inexact here
+            (sp.csc_array(np.outer(np.tile([0.0, 1.0], 75) * np.arange(150), np.ones(120))),
+             True, True),
         ],
         ids=[
             "zero-dense", "zero-sparse", "identical-columns-centered",
             "identical-columns-centered-csc", "constant-rows-stored-centered-csc",
-            "one-unstored-entry-centered-csc",
+            "one-unstored-entry-centered-csc", "identical-columns-centered-csc-120",
         ],
     )
     def test_zero_operator_never_reaches_arpack(self, monkeypatch, values, centered, zero):
