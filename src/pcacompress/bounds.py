@@ -66,8 +66,8 @@ class BoundParams:
             raise InputError(f"sigma_j must have one entry per cluster, got {self.sigma_j.shape}")
         if self.separations.shape != (self.k, self.k):
             raise InputError("separations must be a k x k matrix")
-        if self.C0 <= 0:
-            raise InputError("need C0 > 0")
+        if not 0 < self.C0 < math.inf:  # false for NaN too
+            raise InputError(f"need a finite C0 > 0, got {self.C0}")
 
     @property
     def sigma_condition_met(self) -> bool:
@@ -357,7 +357,7 @@ def _draw(model: RandomVectorModel, seed: int, kprime: Optional[int] = None) -> 
     if kprime is not None:
         P = fit_uncentered_pca(A, kprime, gram=(G, mean))
         table = ClusterPairTable(A.labels, extremes=True)
-        pair_compression(A, P, gram=G, sinks=(table,))
+        pair_compression(A, P, (table,), gram=G)
         s_k = float(P.singular_values[model.k - 1])
         fit = dict(s_k=s_k, driver=P.driver, residual=P.residual, table=table)
     return _Draw(*_noise_norm(model, A, G, mean), **fit)

@@ -305,14 +305,11 @@ def cmd_analyze(args) -> None:
     # one pass fills every sink; only the curve's cut bins take a second
     if A.labels is None:
         # one cluster holding every point: its single cell is every pair
-        table = ClusterPairTable(np.zeros(A.n, dtype=np.int64))
-        sinks = (table,)
+        sinks = [ClusterPairTable(np.zeros(A.n, dtype=np.int64))]
     else:
-        table, point_sums, histogram = (
-            sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)
-        )
-        sinks = (table, point_sums, histogram)
-    pairs = pair_compression(A, P, _pair_policy(args), sinks=sinks)
+        sinks = [sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)]
+    pairs = pair_compression(A, P, sinks, _pair_policy(args))
+    table = sinks[0]
     out = _out_dir(args)
 
     doc = {
@@ -326,8 +323,8 @@ def cmd_analyze(args) -> None:
     }
     if A.labels is not None:
         summary = cluster_summary(table)
-        points = pointwise_summary(point_sums)
-        curve = intra_fraction_curve(pairs, histogram=histogram)
+        points = pointwise_summary(sinks[1])
+        curve = intra_fraction_curve(pairs, sinks[2])
         doc["clusters"] = _summary_doc(summary, names)
         doc["points"] = [dataclasses.asdict(p) for p in points]
         _write_curve_csv(out / "curve.csv", curve)
@@ -354,6 +351,8 @@ def cmd_simulate(args) -> None:
     from .io import write_labels, write_matrix
     from .models import generate_dataset, load_model
 
+    if not args.prefix or Path(args.prefix).name != args.prefix:
+        raise InputError(f"--prefix must be a plain file name, got {args.prefix!r}")
     model = load_model(args.model)
     A = generate_dataset(model, seed=args.seed)
     out = _out_dir(args)

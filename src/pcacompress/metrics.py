@@ -6,18 +6,22 @@ aggregated three ways: per cluster (table rows), per point (plot data),
 and as a ranking curve (what fraction of the most-compressed pairs are
 same-cluster pairs).
 
-Every consumer reads one pair engine. A pass (:class:`PairStream`)
-computes the pairs chunk by chunk, in row-major pair order, and feeds
-each chunk to sinks that reduce it: :class:`ClusterPairTable` over
-cluster pairs, :class:`PointSums` per point, the curve's two passes
-(:class:`CurveHistogram`, then the bins holding its cut points), and
-the extra-component split's counts (:func:`extra_pc_split`). All
-pairs are taken over tiles of rows of the strict upper triangle, each
-with its block of the Gram matrix from :func:`~pcacompress.linalg.gram_rows`,
-so no per-pair array outlives its chunk and memory grows with n times
-the tile, not with the pair count.
-:func:`pair_compression` runs one pass into sinks, or keeps its chunks
-as one :class:`PairSet`.
+Every consumer runs one pass shape: a pass definition (the matrix, its
+projected sides, the pair policy and any Gram matrix the caller holds)
+reduced into sinks. One driver loop, :func:`_run`, computes the pairs
+chunk by chunk, in row-major pair order, and hands each chunk (a
+:class:`PairSet`) to the sinks of its side and width:
+:class:`ClusterPairTable` over cluster pairs, :class:`PointSums` per
+point, the curve's two passes (:class:`CurveHistogram`, then the bins
+holding its cut points), and the extra-component split's counts
+(:func:`extra_pc_split`). All pairs are taken over tiles of rows of the
+strict upper triangle, each with its block of the Gram matrix from
+:func:`~pcacompress.linalg.gram_rows`, so no per-pair array outlives
+its chunk and memory grows with n times the tile, not with the pair
+count. :func:`pair_compression` reduces one pass into the caller's
+sinks and returns its :class:`PairStream`; the summaries read the
+filled sinks, and the curve takes the stream and its filled histogram
+for its second pass.
 
 Pairs whose projected distance is negligible relative to the original
 distance (below 1e-12 of it) are "maximally compressed": their ratio is
@@ -28,7 +32,7 @@ above every finite ratio in the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +58,7 @@ PairPolicy = Union[str, Tuple[str, int, int]]
 
 
 class PairSet:
-    """Pair distances, column-vectorized: a policy's pairs, or one chunk of a pass.
+    """One chunk of a pass: its pair distances, column-vectorized.
 
     Flat arrays ``i``, ``j``, ``pre``, ``post``, ``ratio`` (NaN for absent),
     the ``degenerate`` mask, and ``li``, ``lj``, ``same`` (labels at i and j,
@@ -83,18 +87,6 @@ class PairSet:
             return self.li, self.lj, self.same
         li, lj = labels[self.i], labels[self.j]
         return li, lj, li == lj
-
-    def __len__(self) -> int:
-        return len(self.pre)
-
-    def chunks(self) -> Iterator["PairSet"]:
-        """The pairs again, as slices of at most ``_CHUNK_PAIRS``."""
-        for start in range(0, len(self), _CHUNK_PAIRS):
-            s = slice(start, start + _CHUNK_PAIRS)
-            yield PairSet(
-                self.i[s], self.j[s], self.pre[s], self.post[s], self.labels,
-                self.recomputed if start == 0 else 0,
-            )
 
 
 def _triangular_decode(index: np.ndarray, n: int):
@@ -238,12 +230,20 @@ def _pass(A: DataMatrix, sides, sample=None, G=None):
         yield out
 
 
+def _run(A: DataMatrix, sides, sinks, sample, G) -> None:
+    """The one driver loop: a :func:`_pass`, its chunks of side-and-width t to each of ``sinks[t]``."""
+    for chunks in _pass(A, sides, sample, G):
+        for group, chunk in zip(sinks, chunks):
+            for sink in group:
+                sink.update(chunk)
+
+
 class PairStream:
     """The policy's pairs under one projector, computed afresh on each pass.
 
     ``pair_policy`` is ``"exact"`` or ``("sampled", m, seed)`` for a
     uniform sample of m unordered pairs. Columns are projected once, here;
-    :meth:`chunks` runs one pass and stores nothing per pair. ``gram``,
+    :meth:`reduce` runs one pass and stores nothing per pair. ``gram``,
     the centered Gram matrix of ``A.values`` from
     :func:`~pcacompress.linalg.centered_gram`, spares the exact policy
     forming its tiles.
@@ -252,52 +252,29 @@ class PairStream:
     def __init__(self, A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exact", gram=None):
         self.A, self.gram = A, gram
         self.sample = _sampled_pairs(A.n, pair_policy)
-        self.labels = A.labels
         self.Y = project_columns(P, A)
 
     def __len__(self) -> int:
         n = self.A.n
         return n * (n - 1) // 2 if self.sample is None else len(self.sample[0])
 
-    def chunks(self) -> Iterator[PairSet]:
-        sides = [(self.Y, [self.Y.shape[0]])]
-        for (chunk,) in _pass(self.A, sides, self.sample, self.gram):
-            yield chunk
+    def reduce(self, *sinks) -> None:
+        """One pass, each chunk to every sink."""
+        _run(self.A, [(self.Y, [self.Y.shape[0]])], [sinks], self.sample, self.gram)
 
 
 def pair_compression(
-    A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exact", gram=None, sinks=None
-) -> Union[PairSet, PairStream]:
-    """Distances and compression ratios for all (or sampled) column pairs: one pass.
+    A: DataMatrix, P: Projector, sinks, pair_policy: PairPolicy = "exact", gram=None
+) -> PairStream:
+    """Distances and compression ratios for all (or sampled) column pairs, reduced into ``sinks``.
 
-    The pass is that of a :class:`PairStream` (see there for the other
-    arguments). With ``sinks``, each chunk goes to every sink and none
-    is kept; the stream is returned, for further passes. Without, the
-    chunks are kept and returned as one :class:`PairSet`.
+    One pass of a :class:`PairStream` (see there for the other
+    arguments): each chunk goes to every sink and none is kept. The
+    stream is returned, for further passes; its length is the pair count.
     """
     stream = PairStream(A, P, pair_policy, gram)
-    if sinks is not None:
-        reduce_pairs(stream, *sinks)
-        return stream
-    parts = list(stream.chunks())
-    cat = lambda name: np.concatenate([getattr(p, name) for p in parts])  # noqa: E731
-    return PairSet(
-        cat("i"), cat("j"), cat("pre"), cat("post"), A.labels,
-        recomputed=sum(p.recomputed for p in parts),
-    )
-
-
-def reduce_pairs(pairs, *sinks) -> None:
-    """One pass over ``pairs`` (a :class:`PairSet` or :class:`PairStream`) into every sink."""
-    for chunk in pairs.chunks():
-        for sink in sinks:
-            sink.update(chunk)
-
-
-def _require_labels(pairs, what: str) -> np.ndarray:
-    if pairs.labels is None:
-        raise InputError(f"{what} requires labels")
-    return pairs.labels
+    stream.reduce(*sinks)
+    return stream
 
 
 @dataclass
@@ -381,19 +358,12 @@ class ClusterSummary:
         return self.rows[cluster]
 
 
-def cluster_summary(pairs) -> ClusterSummary:
-    """Per-cluster intra and inter averages, the report-table shape.
+def cluster_summary(table: ClusterPairTable) -> ClusterSummary:
+    """Per-cluster intra and inter averages of a filled table, the report-table shape.
 
-    ``pairs`` is a :class:`PairSet` or :class:`PairStream`, reduced here
-    in one pass, or a :class:`ClusterPairTable` already filled.
     ``ratio_avg`` is the mean of per-pair ratios; the ratio of the
     averaged distances is reported alongside it since the two differ.
     """
-    if isinstance(pairs, ClusterPairTable):
-        table = pairs
-    else:
-        table = ClusterPairTable(_require_labels(pairs, "cluster summary"))
-        reduce_pairs(pairs, table)
     a, b = np.indices(table.count.shape)
     sizes = np.bincount(table.labels)
     rows = []
@@ -436,17 +406,8 @@ class PointSums:
         self.counts += np.bincount(slot, minlength=size)
 
 
-def pointwise_summary(pairs) -> List[PointSummary]:
-    """Mean compression ratio of each point against its own and other clusters.
-
-    ``pairs`` is a :class:`PairSet` or :class:`PairStream`, reduced here
-    in one pass, or a :class:`PointSums` already filled.
-    """
-    if isinstance(pairs, PointSums):
-        point_sums = pairs
-    else:
-        point_sums = PointSums(_require_labels(pairs, "pointwise summary"))
-        reduce_pairs(pairs, point_sums)
+def pointwise_summary(point_sums: PointSums) -> List[PointSummary]:
+    """Mean compression ratio of each point against its own and other clusters, from filled sums."""
     sums = point_sums.sums.reshape(-1, 2)
     counts = point_sums.counts.reshape(-1, 2)
     out = []
@@ -553,30 +514,20 @@ class _CurveCuts:
 
 
 def intra_fraction_curve(
-    pairs, grid: Optional[np.ndarray] = None, histogram: Optional[CurveHistogram] = None
+    stream: PairStream, histogram: CurveHistogram, grid: Optional[np.ndarray] = None
 ) -> List[CurvePoint]:
     """Fraction of same-cluster pairs among the top-x most compressed.
 
     Pairs sort by ratio descending; absent ratios count as maximally
-    compressed and come first; ties keep pair order. Two passes over
-    ``pairs`` (a :class:`PairSet` or :class:`PairStream`): a histogram
-    of rank keys, then the pairs of the bins that hold a cut. A
-    ``histogram`` already filled from ``pairs`` replaces the first.
+    compressed and come first; ties keep pair order. ``histogram`` is
+    the first pass, a histogram of rank keys filled from ``stream``; the
+    second, a pass of ``stream``, keeps the pairs of the bins that hold
+    a cut.
     """
     grid = default_curve_grid() if grid is None else np.asarray(grid)
-    if histogram is None:
-        histogram = CurveHistogram(_require_labels(pairs, "curve"))
-        reduce_pairs(pairs, histogram)
     cuts = _CurveCuts(histogram, grid)
-    reduce_pairs(pairs, cuts)
+    stream.reduce(cuts)
     return cuts.points()
-
-
-def _multi_pass(A: DataMatrix, sides, sinks, pair_policy: PairPolicy = "exact") -> None:
-    """One :func:`_pass` feeding each projection's chunks to its own sink."""
-    for chunks in _pass(A, sides, _sampled_pairs(A.n, pair_policy)):
-        for sink, chunk in zip(sinks, chunks):
-            sink.update(chunk)
 
 
 @dataclass
@@ -602,7 +553,8 @@ def pcs_sweep(
     if grid != sorted(set(grid)) or not 1 <= grid[0] <= grid[-1] <= P.k:
         raise InputError(f"sweep grid must ascend within [1, {P.k}], got {grid}")
     tables = [ClusterPairTable(A.labels) for _ in grid]
-    _multi_pass(A, [(project_columns(P, A), grid)], tables, pair_policy)
+    sample = _sampled_pairs(A.n, pair_policy)
+    _run(A, [(project_columns(P, A), grid)], [(t,) for t in tables], sample, None)
     rows = []
     for kprime, table in zip(grid, tables):
         diagonal = np.eye(len(table.count), dtype=bool)
@@ -648,7 +600,7 @@ def centering_comparison(A: DataMatrix, k: int, seed: int = 0) -> CenteringRepor
     if A.labels is None:
         return CenteringReport(cosine, None, None, None)
     tables = [ClusterPairTable(A.labels) for _ in range(2)]
-    _multi_pass(A, [(project_columns(P, A), [P.k]) for P in (unc, cen)], tables)
+    _run(A, [(project_columns(P, A), [P.k]) for P in (unc, cen)], [(t,) for t in tables], None, None)
     table_unc, table_cen = (cluster_summary(t) for t in tables)
     deltas = {}
     for row_u, row_c in zip(table_unc.rows, table_cen.rows):
@@ -664,6 +616,19 @@ def centering_comparison(A: DataMatrix, k: int, seed: int = 0) -> CenteringRepor
                 cells[f"{group}.{cell}"] = (b - a) / a
         deltas[row_u.cluster] = cells
     return CenteringReport(cosine, table_unc, table_cen, deltas)
+
+
+class _TrailingSplit:
+    """The split's sink: same-cluster pairs, those whose trailing^2 is past ``shift``, and the worst."""
+
+    def __init__(self, shift: float):
+        self.shift, self.intra, self.exceed, self.worst = shift, 0, 0, 0.0
+
+    def update(self, pairs: PairSet) -> None:
+        trailing_sq = pairs.post[pairs.same] ** 2
+        self.intra += len(trailing_sq)
+        self.exceed += int(np.count_nonzero(trailing_sq > self.shift * (1.0 + 1e-12)))
+        self.worst = max(self.worst, float(trailing_sq.max(initial=0.0)))
 
 
 def extra_pc_split(A: DataMatrix, P: Projector, k: int, shift: float) -> Tuple[int, int, float]:
@@ -684,11 +649,6 @@ def extra_pc_split(A: DataMatrix, P: Projector, k: int, shift: float) -> Tuple[i
         sizes = np.bincount(A.labels)
         return int((sizes * (sizes - 1) // 2).sum()), 0, 0.0
     Y = project_columns(P, A)
-    intra = exceed = 0
-    worst = 0.0
-    for (chunk,) in _pass(DataMatrix(Y, A.labels), [(Y[k:], [P.k - k])]):
-        trailing_sq = chunk.post[chunk.same] ** 2
-        intra += len(trailing_sq)
-        exceed += int(np.count_nonzero(trailing_sq > shift * (1.0 + 1e-12)))
-        worst = max(worst, float(trailing_sq.max(initial=0.0)))
-    return intra, exceed, worst
+    split = _TrailingSplit(shift)
+    _run(DataMatrix(Y, A.labels), [(Y[k:], [P.k - k])], [(split,)], None, None)
+    return split.intra, split.exceed, split.worst

@@ -12,6 +12,7 @@ than the unit suites; the whole file runs in minutes, not seconds.
 import os
 import resource
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from pcacompress.linalg import (
     truncated_svd,
 )
 from pcacompress.metrics import (
+    ClusterPairTable,
+    CurveHistogram,
     centering_comparison,
     cluster_summary,
     intra_fraction_curve,
@@ -59,12 +62,28 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
+def finite_ratios(A, P):
+    """Finite intra and inter compression ratios of every pair, in pair order."""
+    intra, inter = [], []
+
+    def update(chunk):
+        finite = ~chunk.degenerate
+        intra.append(chunk.ratio[finite & chunk.same])
+        inter.append(chunk.ratio[finite & ~chunk.same])
+
+    pair_compression(A, P, [SimpleNamespace(update=update)])
+    return np.concatenate(intra), np.concatenate(inter)
+
+
 def ratio_split(A, kprime: int, seed: int):
     """Finite intra and inter compression ratios of one dataset."""
-    P = fit_uncentered_pca(A, kprime, seed=seed)
-    pairs = pair_compression(A, P)
-    finite = ~pairs.degenerate
-    return pairs.ratio[finite & pairs.same], pairs.ratio[finite & ~pairs.same]
+    return finite_ratios(A, fit_uncentered_pca(A, kprime, seed=seed))
+
+
+def summarize(A, P):
+    table = ClusterPairTable(A.labels)
+    pair_compression(A, P, (table,))
+    return cluster_summary(table)
 
 
 def exact_gap(A, kprime: int) -> float:
@@ -299,8 +318,9 @@ def test_08_top_decile_curve():
     for seed in range(10):
         A = generate_dataset(model, seed=seed)
         P = fit_uncentered_pca(A, model.k, seed=seed)
-        pairs = pair_compression(A, P)
-        y = intra_fraction_curve(pairs, grid=np.array([0.10]))[0].y
+        histogram = CurveHistogram(A.labels)
+        stream = pair_compression(A, P, (histogram,))
+        y = intra_fraction_curve(stream, histogram, np.array([0.10]))[0].y
         values.append(y)
         if y >= 0.95:
             hits += 1
@@ -367,12 +387,8 @@ def test_11_pc_count_robustness():
     gaps = {}
     for kprime in grid:
         P = Projector(full.components[:kprime], full.singular_values[:kprime])
-        pairs = pair_compression(A, P)
-        finite = ~pairs.degenerate
-        gaps[kprime] = float(
-            pairs.ratio[finite & pairs.same].mean()
-            / pairs.ratio[finite & ~pairs.same].mean()
-        )
+        intra, inter = finite_ratios(A, P)
+        gaps[kprime] = float(intra.mean() / inter.mean())
     ok = all(gap >= 1.5 for gap in gaps.values())
     report(
         11,
@@ -403,7 +419,7 @@ def test_12_sparse_performance(tmp_path):
     A, _ = load_matrix(IngestSpec(mpath, labels=lpath))
     A = log_normalize(A)
     P = fit_uncentered_pca(A, 25, seed=0)
-    summary = cluster_summary(pair_compression(A, P))
+    summary = summarize(A, P)
     elapsed = time.monotonic() - started
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2
     ok = elapsed < 300.0 and peak_gb < 8.0 and len(summary.rows) == 10
@@ -437,7 +453,7 @@ def test_13_reference_table_row():
     assert matrix and labels, f"no matrix/labels files under {root}"
     A, _ = load_matrix(IngestSpec(matrix, labels=labels, normalization="log1p"))
     P = fit_uncentered_pca(A, 25, seed=0)
-    summary = cluster_summary(pair_compression(A, P))
+    summary = summarize(A, P)
     row = next(r for r in summary.rows if r.size == 43)
     got = (
         row.inter.pre_avg,

@@ -144,6 +144,28 @@ class TestExitCodes:
         assert code == 2
         assert str(out if case == "out-dir-is-a-file" else model) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c0", ["nan", "inf", "0"])
+    def test_unusable_c0_is_input_error(self, c0, model_path, tmp_path, capsys):
+        # NaN bounds are neither vacuous nor violated, so they would read as passing
+        out = tmp_path / "out"
+        code = cli.main(
+            ["verify-bounds", "--model", str(model_path), "--seeds", "1", "--c0", c0,
+             "--out-dir", str(out)]
+        )
+        assert code == 2
+        assert "need a finite C0 > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prefix", ["a/b", "/abs", ".", ""])
+    def test_prefix_must_be_a_file_name(self, prefix, model_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(
+            ["simulate", "--model", str(model_path), "--prefix", prefix, "--out-dir", str(out)]
+        )
+        assert code == 2
+        assert "--prefix must be a plain file name" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestManifest:
     def test_records_inputs_seed_versions_normalization(self, dataset, tmp_path):
@@ -446,7 +468,7 @@ class TestRoundTripOracle:
         import scipy.sparse as sp
 
         from pcacompress.linalg import DataMatrix, fit_uncentered_pca
-        from pcacompress.metrics import cluster_summary, pair_compression
+        from pcacompress.metrics import ClusterPairTable, cluster_summary, pair_compression
         from pcacompress.models import RandomVectorModel, generate_dataset
 
         matrix, labels = dataset
@@ -470,7 +492,9 @@ class TestRoundTripOracle:
         dense = generate_dataset(RandomVectorModel.from_dict(MODEL), seed=11)
         A = DataMatrix(sp.csc_array(dense.values), labels=dense.labels)
         P = fit_uncentered_pca(A, 3, seed=0)
-        summary = cluster_summary(pair_compression(A, P))
+        table = ClusterPairTable(A.labels)
+        pair_compression(A, P, (table,))
+        summary = cluster_summary(table)
         for row in summary.rows:
             got = from_files["clusters"][row.cluster]
             assert got["size"] == row.size

@@ -1,7 +1,9 @@
+import ast
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from pcacompress.metrics import (
     pair_compression,
     pcs_sweep,
     pointwise_summary,
-    reduce_pairs,
     _triangular_decode,
 )
 from pcacompress.models import NoiseSpec, RandomVectorModel, generate_dataset, sbm_rectangular
@@ -41,11 +42,60 @@ def small_labeled_matrix(seed=0, d=6, n=8, k=2):
     return DataMatrix(X, labels=labels)
 
 
+def collect(A, P, pair_policy="exact"):
+    """Every pair of one pass, concatenated from its chunks by a test-side sink."""
+    chunks = []
+    stream = pair_compression(A, P, [SimpleNamespace(update=chunks.append)], pair_policy)
+    cat = lambda name: np.concatenate([getattr(c, name) for c in chunks])  # noqa: E731
+    pairs = PairSet(
+        cat("i"), cat("j"), cat("pre"), cat("post"), A.labels, sum(c.recomputed for c in chunks)
+    )
+    assert len(pairs.pre) == len(stream)
+    return pairs
+
+
+def summarize(A, P, pair_policy="exact"):
+    table = ClusterPairTable(A.labels)
+    pair_compression(A, P, (table,), pair_policy)
+    return cluster_summary(table)
+
+
+def curve_of(stream, labels, grid=None):
+    """The curve of ``stream``: its histogram's pass, then the curve's own."""
+    histogram = CurveHistogram(labels)
+    stream.reduce(histogram)
+    return intra_fraction_curve(stream, histogram, grid)
+
+
+class OneChunk:
+    """A stream of one hand-built chunk: each pass hands that chunk to every sink."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def reduce(self, *sinks):
+        for sink in sinks:
+            sink.update(self.pairs)
+
+
+def test_one_driver_loop_calls_pass():
+    """Every pair pass runs through one loop: _pass has one caller, in metrics."""
+    callers = []
+    for path in sorted(Path(metrics.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "_pass":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert len(callers) == 1 and callers[0].startswith("metrics.py:"), callers
+
+
 class TestPairCompression:
     def test_matches_bruteforce_oracle(self):
         A = small_labeled_matrix()
         P = fit_uncentered_pca(A, 2)
-        pairs = pair_compression(A, P)
+        pairs = collect(A, P)
         X = A.values
         proj = P.components.T @ P.components
         t = 0
@@ -58,13 +108,13 @@ class TestPairCompression:
                 np.testing.assert_allclose(pairs.post[t], post, rtol=1e-10)
                 np.testing.assert_allclose(pairs.ratio[t], pre / post, rtol=1e-9)
                 t += 1
-        assert t == len(pairs)
+        assert t == len(pairs.pre)
 
     def test_duplicate_columns_give_absent_ratio(self):
         X = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.5, 0.5, 3.0]])
         A = DataMatrix(X)
         P = fit_uncentered_pca(A, 2)
-        pairs = pair_compression(A, P)
+        pairs = collect(A, P)
         assert (pairs.i[0], pairs.j[0]) == (0, 1)
         assert pairs.pre[0] == 0.0
         assert pairs.post[0] == 0.0
@@ -75,7 +125,7 @@ class TestPairCompression:
         rng = np.random.default_rng(3)
         A = DataMatrix(rng.standard_normal((5, 9)))
         P = fit_uncentered_pca(A, 5)
-        pairs = pair_compression(A, P)
+        pairs = collect(A, P)
         np.testing.assert_allclose(pairs.post, pairs.pre, rtol=1e-9)
         assert not np.any(pairs.degenerate)
         np.testing.assert_allclose(pairs.ratio, 1.0, rtol=1e-9)
@@ -83,19 +133,19 @@ class TestPairCompression:
     def test_projection_never_expands(self):
         A = small_labeled_matrix(seed=5, d=20, n=30)
         for k in (1, 3, 10):
-            pairs = pair_compression(A, fit_uncentered_pca(A, k))
+            pairs = collect(A, fit_uncentered_pca(A, k))
             assert np.all(pairs.post <= pairs.pre)
 
     def test_sampled_policy_matches_exact(self):
         A = small_labeled_matrix(seed=7, d=12, n=20)
         P = fit_uncentered_pca(A, 3)
-        exact = pair_compression(A, P)
+        exact = collect(A, P)
         table = {
             (a, b): (pre, post)
             for a, b, pre, post in zip(exact.i, exact.j, exact.pre, exact.post)
         }
-        sampled = pair_compression(A, P, pair_policy=("sampled", 50, 11))
-        assert len(sampled) == 50
+        sampled = collect(A, P, ("sampled", 50, 11))
+        assert len(sampled.pre) == 50
         seen = set()
         for a, b, pre, post in zip(sampled.i, sampled.j, sampled.pre, sampled.post):
             assert (a, b) not in seen
@@ -107,8 +157,8 @@ class TestPairCompression:
     def test_sampled_policy_is_deterministic(self):
         A = small_labeled_matrix(seed=9, d=10, n=15)
         P = fit_uncentered_pca(A, 2)
-        one = pair_compression(A, P, pair_policy=("sampled", 30, 4))
-        two = pair_compression(A, P, pair_policy=("sampled", 30, 4))
+        one = collect(A, P, ("sampled", 30, 4))
+        two = collect(A, P, ("sampled", 30, 4))
         np.testing.assert_array_equal(one.i, two.i)
         np.testing.assert_array_equal(one.pre, two.pre)
 
@@ -118,8 +168,8 @@ class TestPairCompression:
         A_sparse = DataMatrix(sp.csc_array(dense))
         A_dense = DataMatrix(dense)
         P = fit_uncentered_pca(A_dense, 3)
-        got = pair_compression(A_sparse, P)
-        want = pair_compression(A_dense, P)
+        got = collect(A_sparse, P)
+        want = collect(A_dense, P)
         np.testing.assert_allclose(got.pre, want.pre, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(got.post, want.post, rtol=1e-10, atol=1e-12)
 
@@ -132,8 +182,8 @@ class TestPairCompression:
         values = sp.csc_array(dense)
         assert (values.nnz < DENSE_GRAM_DENSITY * dense.size) == (density < DENSE_GRAM_DENSITY)
         P = fit_uncentered_pca(DataMatrix(dense), 3)
-        got = pair_compression(DataMatrix(values), P)
-        want = pair_compression(DataMatrix(dense), P)
+        got = collect(DataMatrix(values), P)
+        want = collect(DataMatrix(dense), P)
         np.testing.assert_allclose(got.pre, want.pre, rtol=1e-10, atol=0)
         np.testing.assert_allclose(got.post, want.post, rtol=1e-10, atol=0)
 
@@ -149,9 +199,7 @@ class TestPairCompression:
         unit, scaled = (DataMatrix(store(M), labels=labels) for M in (X, scale * X))
         P = fit_uncentered_pca(unit, 5)
         for policy in ("exact", ("sampled", 500, 1)):
-            want, got = (
-                cluster_summary(pair_compression(A, P, policy)).rows for A in (unit, scaled)
-            )
+            want, got = (summarize(A, P, policy).rows for A in (unit, scaled))
             for w, g in zip(want, got):
                 for group in ("intra", "inter"):
                     w_cell, g_cell = getattr(w, group), getattr(g, group)
@@ -165,15 +213,15 @@ class TestPairCompression:
         A = small_labeled_matrix()
         P = fit_uncentered_pca(small_labeled_matrix(d=7), 2)
         with pytest.raises(InputError):
-            pair_compression(A, P)
+            pair_compression(A, P, ())
 
     def test_bad_policy_rejected(self):
         A = small_labeled_matrix()
         P = fit_uncentered_pca(A, 2)
         with pytest.raises(InputError):
-            pair_compression(A, P, pair_policy="approximate")
+            pair_compression(A, P, (), "approximate")
         with pytest.raises(InputError):
-            pair_compression(A, P, pair_policy=("sampled", 10**9, 0))
+            pair_compression(A, P, (), ("sampled", 10**9, 0))
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_exact_agrees_with_sampled_all_pairs(self, sparse):
@@ -194,8 +242,8 @@ class TestPairCompression:
             assert below.any() and not below.all()
         A = DataMatrix(sp.csc_array(X) if sparse else X)
         P = fit_uncentered_pca(A, 5)
-        exact = pair_compression(A, P)
-        sampled = pair_compression(A, P, pair_policy=("sampled", len(i), 0))
+        exact = collect(A, P)
+        sampled = collect(A, P, ("sampled", len(i), 0))
         np.testing.assert_array_equal(exact.i, sampled.i)
         np.testing.assert_array_equal(exact.j, sampled.j)
         np.testing.assert_allclose(exact.pre, sampled.pre, rtol=1e-9, atol=0)
@@ -211,16 +259,17 @@ class TestPairCompression:
             import resource
             import numpy as np
             from pcacompress.linalg import DataMatrix, Projector
-            from pcacompress.metrics import pair_compression
+            from pcacompress.metrics import ClusterPairTable, pair_compression
 
             rng = np.random.default_rng(0)
             A = DataMatrix(rng.uniform(size=(2000, 1000)))
             Q, _ = np.linalg.qr(rng.standard_normal((2000, 5)))
             P = Projector(Q.T, [5.0, 4.0, 3.0, 2.0, 1.0])
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            pairs = pair_compression(A, P, ("sampled", 20000, 0))
+            table = ClusterPairTable(np.zeros(A.n, dtype=np.int64))
+            pairs = pair_compression(A, P, (table,), ("sampled", 20000, 0))
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            assert len(pairs) == 20000
+            assert len(pairs) == table.count.sum() == 20000
             print((after - before) / 1024.0)
             """
         )
@@ -246,8 +295,7 @@ class TestClusterSummary:
     def test_matches_bruteforce(self):
         A = small_labeled_matrix(seed=1, d=8, n=10, k=2)
         P = fit_uncentered_pca(A, 2)
-        pairs = pair_compression(A, P)
-        table = cluster_summary(pairs)
+        table = summarize(A, P)
         X, lab = A.values, A.labels
         proj = P.components.T @ P.components
         for cluster in range(2):
@@ -277,8 +325,7 @@ class TestClusterSummary:
 
     def test_mean_of_ratios_differs_from_ratio_of_means(self):
         A = small_labeled_matrix(seed=4, d=10, n=12, k=2)
-        pairs = pair_compression(A, fit_uncentered_pca(A, 1))
-        row = cluster_summary(pairs).row(0)
+        row = summarize(A, fit_uncentered_pca(A, 1)).row(0)
         assert row.intra.ratio_avg != pytest.approx(row.intra.ratio_of_averages, rel=1e-6)
 
     def test_degenerate_pairs_counted_not_averaged(self):
@@ -286,8 +333,7 @@ class TestClusterSummary:
             [[0.1, 0.1, 0.9, 0.8], [0.2, 0.2, 0.1, 0.15], [0.3, 0.3, 0.4, 0.5]]
         )
         A = DataMatrix(X, labels=np.array([0, 0, 1, 1]))
-        pairs = pair_compression(A, fit_uncentered_pca(A, 2))
-        row = cluster_summary(pairs).row(0)
+        row = summarize(A, fit_uncentered_pca(A, 2)).row(0)
         assert row.intra.pair_count == 1
         assert row.intra.excluded == 1
         assert row.intra.ratio_avg is None
@@ -296,7 +342,7 @@ class TestClusterSummary:
     def test_singleton_cluster_has_no_intra(self):
         X = np.random.default_rng(0).uniform(size=(4, 5))
         A = DataMatrix(X, labels=np.array([0, 0, 0, 0, 1]))
-        table = cluster_summary(pair_compression(A, fit_uncentered_pca(A, 2)))
+        table = summarize(A, fit_uncentered_pca(A, 2))
         assert table.row(1).intra is None
         assert table.row(1).inter.pair_count == 4
 
@@ -310,7 +356,7 @@ class TestClusterSummary:
             noise=[NoiseSpec("uniform-symmetric", 0.3)] * 2,
         )
         A = generate_dataset(model, seed=21)
-        pairs = pair_compression(A, fit_uncentered_pca(A, 5))
+        pairs = collect(A, fit_uncentered_pca(A, 5))
         same = pairs.same
         first = pairs.labels[pairs.i] == 0
         r0 = pairs.ratio[same & first & ~pairs.degenerate]
@@ -319,19 +365,23 @@ class TestClusterSummary:
         assert stat.pvalue > 0.05
 
     def test_labels_required(self):
+        # a summary sink is built from labels; the sweep, which builds its
+        # own tables from the matrix, rejects a matrix without them
         X = np.random.default_rng(1).uniform(size=(4, 6))
         A = DataMatrix(X)
-        pairs = pair_compression(A, fit_uncentered_pca(A, 2))
-        with pytest.raises(InputError):
-            cluster_summary(pairs)
+        with pytest.raises(InputError, match="sweep requires labels"):
+            pcs_sweep(A, fit_uncentered_pca(A, 2), [1, 2])
 
 
 class TestPointwiseSummary:
     def test_matches_bruteforce(self):
         A = small_labeled_matrix(seed=6, d=9, n=10, k=2)
-        pairs = pair_compression(A, fit_uncentered_pca(A, 2))
-        points = pointwise_summary(pairs)
+        P = fit_uncentered_pca(A, 2)
+        sums = PointSums(A.labels)
+        pair_compression(A, P, (sums,))
+        points = pointwise_summary(sums)
         assert len(points) == A.n
+        pairs = collect(A, P)
         ratio = {(a, b): r for a, b, r in zip(pairs.i, pairs.j, pairs.ratio)}
         for u in range(A.n):
             intra, inter = [], []
@@ -347,21 +397,11 @@ class TestPointwiseSummary:
     def test_singleton_point_has_no_intra(self):
         X = np.random.default_rng(3).uniform(size=(5, 4))
         A = DataMatrix(X, labels=np.array([0, 0, 0, 1]))
-        points = pointwise_summary(pair_compression(A, fit_uncentered_pca(A, 2)))
+        sums = PointSums(A.labels)
+        pair_compression(A, fit_uncentered_pca(A, 2), (sums,))
+        points = pointwise_summary(sums)
         assert points[3].intra_avg is None
         assert points[3].inter_avg is not None
-
-
-def handmade_pairs(pre, post, labels, i=None, j=None):
-    pre = np.asarray(pre, dtype=float)
-    n_pairs = len(pre)
-    if i is None:
-        i = np.zeros(n_pairs, dtype=np.int64)
-        j = np.arange(1, n_pairs + 1, dtype=np.int64)
-    return PairSet(
-        np.asarray(i), np.asarray(j), pre, np.asarray(post, dtype=float),
-        labels=np.asarray(labels),
-    )
 
 
 class TestIntraFractionCurve:
@@ -377,7 +417,7 @@ class TestIntraFractionCurve:
         )
         # pair 1 (0-1, inter) degenerate; 0-2 ratio 10 intra; 0-3 ratio 5 inter;
         # 0-4 ratio 2 intra
-        curve = intra_fraction_curve(pairs, grid=np.array([0.25, 0.5, 0.75, 1.0]))
+        curve = curve_of(OneChunk(pairs), labels, np.array([0.25, 0.5, 0.75, 1.0]))
         ys = [p.y for p in curve]
         np.testing.assert_allclose(ys, [0.0, 0.5, 1 / 3, 0.5])
 
@@ -390,7 +430,7 @@ class TestIntraFractionCurve:
             post=np.array([2.0, 2.0]),
             labels=labels,
         )
-        curve = intra_fraction_curve(pairs, grid=np.array([0.5, 1.0]))
+        curve = curve_of(OneChunk(pairs), labels, np.array([0.5, 1.0]))
         assert curve[0].y == 0.0  # inter pair (0,1) comes first on the tie
         assert curve[1].y == 0.5
 
@@ -400,7 +440,7 @@ class TestIntraFractionCurve:
         assert grid[0] == 0.01
         assert grid[-1] == 1.0
         A = small_labeled_matrix()
-        curve = intra_fraction_curve(pair_compression(A, fit_uncentered_pca(A, 2)))
+        curve = curve_of(PairStream(A, fit_uncentered_pca(A, 2)), A.labels)
         assert len(curve) == 100
         assert all(isinstance(p, CurvePoint) for p in curve)
         assert all(0.0 <= p.y <= 1.0 for p in curve)
@@ -408,12 +448,12 @@ class TestIntraFractionCurve:
     def test_separated_clusters_rank_intra_first(self):
         model = sbm_rectangular(200, [50, 50], p=0.75, q=0.25)
         A = generate_dataset(model, seed=3)
-        pairs = pair_compression(A, fit_uncentered_pca(A, 10))
-        curve = intra_fraction_curve(pairs)
+        P = fit_uncentered_pca(A, 10)
+        curve = curve_of(PairStream(A, P), A.labels)
         assert curve[9].x == pytest.approx(0.10)
         assert curve[9].y > 0.9
         # final point is the overall intra fraction
-        total_intra = np.mean(pairs.same)
+        total_intra = np.mean(collect(A, P).same)
         np.testing.assert_allclose(curve[-1].y, total_intra, rtol=1e-12)
 
 
@@ -497,7 +537,7 @@ class TestExtraPcSplit:
         A = small_labeled_matrix(seed=11, d=14, n=10)
         P = fit_uncentered_pca(A, 5)
         leading = Projector(P.components[:3], P.singular_values[:3])
-        full, lead = pair_compression(A, P), pair_compression(A, leading)
+        full, lead = collect(A, P), collect(A, leading)
         want = full.post[full.same] ** 2 - lead.post[lead.same] ** 2
         intra, _, worst = extra_pc_split(A, P, 3, 0.0)
         assert intra == np.count_nonzero(full.same)
@@ -646,39 +686,32 @@ class TestStreamingTiles:
         widths = [1, P.k]
         grid = default_curve_grid()
         oracle = _oracle(A, P, widths, grid)
-        # the materialized path, in one tile and one chunk
-        pairs = pair_compression(A, P)
-        want = {
-            "clusters": _groups(cluster_summary(pairs)),
-            "points": [(p.intra_avg, p.inter_avg) for p in pointwise_summary(pairs)],
-            "curve": [p.y for p in intra_fraction_curve(pairs, grid=grid)],
-            # one tile and one chunk; its full-width row is the PairSet's
-            "sweep": [(r["intra_ratio_avg"], r["inter_ratio_avg"])
-                      for r in pcs_sweep(A, P, widths).rows],
-        }
+        def reductions():
+            table, points, histogram = (
+                sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)
+            )
+            stream = pair_compression(A, P, (table, points, histogram))
+            assert len(stream) == table.count.sum() == A.n * (A.n - 1) // 2
+            return table, {
+                "clusters": _groups(cluster_summary(table)),
+                "points": [(p.intra_avg, p.inter_avg) for p in pointwise_summary(points)],
+                "curve": [p.y for p in intra_fraction_curve(stream, histogram, grid)],
+                "sweep": [(r["intra_ratio_avg"], r["inter_ratio_avg"])
+                          for r in pcs_sweep(A, P, widths).rows],
+            }
+
+        # the whole pair set in one tile and one chunk; the sweep's
+        # full-width row is that chunk's table
+        whole, want = reductions()
         diagonal = np.eye(A.labels.max() + 1, dtype=bool)
-        table = ClusterPairTable(A.labels)
-        reduce_pairs(pairs, table)
-        _assert_same(want["sweep"][-1], (table.group(diagonal).ratio_avg,
-                                         table.group(~diagonal).ratio_avg))
+        _assert_same(want["sweep"][-1], (whole.group(diagonal).ratio_avg,
+                                         whole.group(~diagonal).ratio_avg))
 
         monkeypatch.setattr(metrics, "_TILE_ROWS", 3)
         monkeypatch.setattr(metrics, "_CHUNK_PAIRS", 5)
         # each tile sums centered row blocks of 3 rows
-        table, points, histogram = (
-            sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)
-        )
-        stream = pair_compression(A, P, sinks=(table, points, histogram))
-        assert isinstance(stream, PairStream) and len(stream) == A.n * (A.n - 1) // 2
-        got = {
-            "clusters": _groups(cluster_summary(table)),
-            "points": [(p.intra_avg, p.inter_avg) for p in pointwise_summary(points)],
-            "curve": [p.y for p in intra_fraction_curve(stream, grid=grid, histogram=histogram)],
-            "sweep": [(r["intra_ratio_avg"], r["inter_ratio_avg"])
-                      for r in pcs_sweep(A, P, widths).rows],
-        }
-        assert table.count.sum() == A.n * (A.n - 1) // 2
-        assert table.recomputed == pairs.recomputed
+        table, got = reductions()
+        assert table.recomputed == whole.recomputed
         if case == "offset":
             assert table.recomputed > 0
         _assert_same(got, want)
@@ -690,7 +723,7 @@ class TestStreamingTiles:
 
     def test_ties_straddle_tile_edges(self):
         A, P = _tile_case("ties")
-        pairs = pair_compression(A, P)
+        pairs = collect(A, P)
         key = np.where(pairs.degenerate, np.inf, pairs.ratio)
         tile = pairs.i // 3
         tied = [(key == v) for v in np.unique(key)]
@@ -703,11 +736,9 @@ class TestStreamingTiles:
         monkeypatch.setattr(metrics, "_TILE_ROWS", 3)
         monkeypatch.setattr(metrics, "_CHUNK_PAIRS", 5)
         table = ClusterPairTable(np.zeros(A.n, dtype=int))
-        pair_compression(A, P, sinks=(table,))
+        pair_compression(A, P, (table,))
         g = table.group(0)
         _assert_same((g.pair_count, g.excluded, g.pre_avg, g.post_avg, g.ratio_avg), oracle)
-        with pytest.raises(InputError):
-            cluster_summary(PairStream(A, P))
 
     def test_exact_pass_memory_stays_bounded(self):
         # every exact reduction over the 4.5 M pairs of a dense 1000 x 3000
@@ -730,8 +761,8 @@ class TestStreamingTiles:
             P = Projector(Q.T, [5.0, 4.0, 3.0, 2.0, 1.0])
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             sinks = [sink(labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)]
-            pairs = pair_compression(A, P, sinks=sinks)
-            curve = intra_fraction_curve(pairs, histogram=sinks[2])
+            pairs = pair_compression(A, P, sinks)
+            curve = intra_fraction_curve(pairs, sinks[2])
             intra, _, _ = extra_pc_split(A, P, 3, 1.0)
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             assert sinks[0].count.sum() == 3000 * 2999 // 2
