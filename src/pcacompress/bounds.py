@@ -28,6 +28,7 @@ from .linalg import (
     DataMatrix,
     centered_gram,
     fit_uncentered_pca,
+    product,
     spectral_norm,
     top_eigenvalue,
 )
@@ -376,7 +377,7 @@ def _noise_norm(
     """
     labels = model.labels()
     D = model.centers.T - mean[:, None]
-    H = np.asarray(A.values.T @ D) - (mean @ D)[None, :]
+    H = product(A.values, D, transpose=True) - (mean @ D)[None, :]
     HZ = H[:, labels]
     noise_gram = G - HZ - HZ.T + (D.T @ D)[np.ix_(labels, labels)]
     top = top_eigenvalue(noise_gram)

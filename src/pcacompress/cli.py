@@ -10,7 +10,8 @@ the command, its inputs and their sha256 digests, the seed, the
 normalization applied, the BLAS thread variables in effect, library
 versions, and for a command that fits (``analyze``, ``sweep-pcs``) the
 fit's SVD driver, certifying residual and gap warning. Exit codes:
-0 success, 2 bad input, 3 numerical failure.
+0 success, 2 bad input or an output that cannot be written, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -528,6 +529,11 @@ def main(argv=None) -> int:
         COMMANDS[args.command](args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        # every input is read through a reader that raises InputError, so
+        # this is an output that cannot be written
+        print(f"error: cannot write {err.filename or 'an output'}: {err.strerror or err}", file=sys.stderr)
         return 2
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)

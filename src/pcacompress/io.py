@@ -360,11 +360,10 @@ def write_matrix(A: DataMatrix, path) -> None:
     """Write in matrix-market coordinate form, column-major entries.
 
     Values are written as ``repr`` of the float, which reads back
-    bit-identical. A dense matrix writes its nonzeros, a sparse one its
-    stored entries.
+    bit-identical. A dense matrix or bits write their nonzeros, a sparse
+    one its stored entries.
     """
-    values = A.values
-    nnz = values.nnz if A.is_sparse else np.count_nonzero(values)
+    values, nnz = A.values, A.nnz
     width = max(1, _WRITE_BLOCK_ENTRIES * A.n // max(nnz, 1))
     path = str(path)
     opener = gzip.open(path, "wt", encoding="utf-8") if path.endswith(".gz") else open(
@@ -374,7 +373,8 @@ def write_matrix(A: DataMatrix, path) -> None:
         fh.write(f"{MM_HEADER}\n{A.d} {A.n} {nnz}\n")
         for start in range(0, A.n, width):
             # a CSC block lists its entries column by column, rows ascending
-            block = sp.csc_array(values[:, start : start + width]).sorted_indices()
+            # float64, so a bit is written 1.0
+            block = sp.csc_array(values[:, start : start + width], dtype=np.float64).sorted_indices()
             rows = (block.indices + 1).tolist()
             cols = np.repeat(np.arange(start, start + block.shape[1]) + 1, np.diff(block.indptr))
             entries = zip(rows, cols.tolist(), block.data.tolist())

@@ -1,10 +1,21 @@
 """Matrix storage, truncated SVD, and PCA projectors.
 
-This is the one module that tells a dense matrix from a sparse one. The
-rest of the library reads storage through its primitives
-(:func:`checked_matrix`, :func:`stored`, :func:`as_dense`,
-:func:`squared_norms`) and its Gram products (:func:`centered_gram`, and
-the pair engine's tiles from :func:`gram_rows`).
+A data matrix is held in one of three storage kinds: a dense float64
+ndarray, a CSC sparse array, or bits, a bool ndarray of 1 byte per 0/1
+entry (an all-Bernoulli draw from :mod:`~pcacompress.models`; a float64
+copy would take 8 bytes per entry). This is the one module that tells
+the kinds apart. The rest of the library reads storage through its
+primitives (:func:`checked_matrix`, :func:`stored`, :func:`as_dense`,
+:func:`squared_norms`, :func:`product`) and its Gram products
+(:func:`centered_gram`, and the pair engine's tiles from
+:func:`gram_rows`). Bits are read in float64 blocks of at most
+``_BLOCK_ENTRIES`` entries: :func:`product` sums over n in row blocks
+and over d in column blocks, :func:`centered_gram` and
+:func:`gram_rows` center row blocks, and :func:`as_dense` (which the
+dense driver reads) and :func:`spectral_norm` convert to float64. Sums of
+0/1 entries are exact integers, so :func:`centered_gram`,
+:meth:`DataMatrix.row_means` and :func:`squared_norms` give the same
+bits as on a float64 copy.
 
 The library works on feature-by-sample matrices (columns are datapoints).
 Projections here are always onto top left singular vectors; "uncentered"
@@ -73,25 +84,37 @@ _BLOCK_ENTRIES = 1 << 20
 DENSE_GRAM_DENSITY = 0.1
 
 
+def _is_bits(M) -> bool:
+    return isinstance(M, np.ndarray) and M.dtype == np.bool_
+
+
 def stored(M):
-    """M's stored entries: ``M.data`` for a sparse M, M itself for a dense one."""
+    """M's stored entries: ``M.data`` for a sparse M, M itself for a dense one or bits."""
     return M.data if sp.issparse(M) else M
 
 
 def as_dense(M) -> np.ndarray:
-    """M as an ndarray."""
-    return M.toarray() if sp.issparse(M) else np.asarray(M)
+    """M as a float64 ndarray (scipy's SVD would turn bits into float32)."""
+    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
 
 
-def checked_matrix(values, sparse_format: str, name: str):
-    """values as a float64 2-D ndarray or ``sparse_format`` ("csc", "csr") array of finite entries."""
+def checked_matrix(values, sparse_format: str, name: str, bits: bool = False):
+    """values as a float64 2-D ndarray or ``sparse_format`` ("csc", "csr") array of finite entries.
+
+    With ``bits``, a bool ndarray is kept as it is. Finiteness is read
+    from the min and max of the stored entries (NaN propagates through
+    both, and +-inf is an extreme), with no temporary the size of M.
+    """
     if sp.issparse(values):
         M = {"csc": sp.csc_array, "csr": sp.csr_array}[sparse_format](values, dtype=np.float64)
     else:
-        M = np.asarray(values, dtype=np.float64)
+        M = np.asarray(values)
+        if not (bits and _is_bits(M)):
+            M = np.asarray(M, dtype=np.float64)
         if M.ndim != 2:
             raise InputError(f"{name} must be 2-dimensional")
-    if not np.isfinite(stored(M)).all():
+    data = stored(M)
+    if data.size and not np.isfinite([data.min(), data.max()]).all():
         raise InputError(f"{name} contains non-finite entries")
     return M
 
@@ -100,18 +123,44 @@ def squared_norms(M, axis: int) -> np.ndarray:
     """Squared Euclidean norms of M's columns (``axis`` 0) or rows (``axis`` 1)."""
     if sp.issparse(M):
         return M.multiply(M).sum(axis=axis)
+    if _is_bits(M):
+        # a bit is its own square; einsum would take the logical or of the ands
+        return M.sum(axis=axis, dtype=np.float64)
     return np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", M, M)
 
 
-class DataMatrix:
-    """A d x n feature-by-sample matrix, dense or CSC sparse.
+def product(M, X: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``M X``, or ``M^T X`` with ``transpose``, as an ndarray.
 
-    ``labels``, when given, assigns each column a cluster id in
-    ``[0, k)``; every id must occur at least once.
+    Bits are read in float64 blocks of at most ``_BLOCK_ENTRIES``
+    entries: row blocks for ``M X``, whose sums run over n, and column
+    blocks for ``M^T X``, whose sums run over d, so each sum lies within
+    one block. The other kinds take one product.
+    """
+    if not _is_bits(M):
+        return np.asarray((M.T if transpose else M) @ X)
+    d, n = M.shape
+    out = np.empty(((n if transpose else d),) + X.shape[1:])
+    step = max(1, _BLOCK_ENTRIES // (d if transpose else n))
+    for start in range(0, len(out), step):
+        part = slice(start, start + step)
+        if transpose:
+            out[part] = M[:, part].astype(np.float64).T @ X
+        else:
+            out[part] = M[part].astype(np.float64) @ X
+    return out
+
+
+class DataMatrix:
+    """A d x n feature-by-sample matrix: dense float64, CSC sparse, or bits.
+
+    A bool ndarray is held as bits (see the module docstring); any other
+    dense input as float64. ``labels``, when given, assigns each column a
+    cluster id in ``[0, k)``; every id must occur at least once.
     """
 
     def __init__(self, values, labels=None):
-        self.values = checked_matrix(values, "csc", "data matrix")
+        self.values = checked_matrix(values, "csc", "data matrix", bits=True)
         d, n = self.values.shape
         if d < 1 or n < 2:
             raise InputError(f"need d >= 1 and n >= 2, got shape {d}x{n}")
@@ -145,6 +194,11 @@ class DataMatrix:
     @property
     def is_sparse(self) -> bool:
         return sp.issparse(self.values)
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of a sparse matrix, nonzero entries of a dense one or bits."""
+        return self.values.nnz if self.is_sparse else int(np.count_nonzero(self.values))
 
     @property
     def k(self) -> Optional[int]:
@@ -252,13 +306,13 @@ class _Operator:
         self.shape = values.shape
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.values @ X)
+        out = product(self.values, X)
         if self.mean is not None:
             out = out - np.outer(self.mean, X.sum(axis=0))
         return out
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.values.T @ Y)
+        out = product(self.values, Y, transpose=True)
         if self.mean is not None:
             out = out - np.outer(np.ones(self.shape[1]), self.mean @ Y)
         return out
@@ -324,7 +378,10 @@ def _centered_row_blocks(R, mean, start: int = 0, rows: Optional[int] = None):
     d, n = R.shape
     rows = max(1, _BLOCK_ENTRIES // (n - start)) if rows is None else rows
     for r in range(0, d, rows):
-        yield np.subtract(as_dense(R[r : r + rows, start:]), mean[r : r + rows, None], order="F")
+        part = R[r : r + rows, start:]
+        # bits are centered straight into float64, with no float64 copy first
+        part = part if _is_bits(part) else as_dense(part)
+        yield np.subtract(part, mean[r : r + rows, None], order="F")
 
 
 def centered_gram(M):
@@ -341,6 +398,7 @@ def centered_gram(M):
     for block in _centered_row_blocks(R, mean):
         # G's upper triangle += block^T block, in place: no n x n temporary per block
         G = scipy.linalg.blas.dsyrk(1.0, block, trans=1, beta=1.0, c=G, overwrite_c=True)
+        del block  # freed before the next block is formed
     G += np.triu(G, 1).T
     return G, mean
 
@@ -468,7 +526,7 @@ def _uncentered_gram(M, G: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
     With ``c = M^T mean``, ``M^T M = G + c 1^T + 1 c^T - ||mean||^2 1 1^T``.
     """
-    cross = np.asarray(M.T @ mean).ravel()
+    cross = product(M, mean, transpose=True).ravel()
     return G + cross[:, None] + (cross - float(mean @ mean))[None, :]
 
 
@@ -543,7 +601,7 @@ def project_columns(P: Projector, A: DataMatrix) -> np.ndarray:
     """All columns of A in projected coordinates, as a k' x n array."""
     if A.d != P.d:
         raise InputError(f"matrix has d={A.d}, projector wants {P.d}")
-    Y = np.asarray(P.components @ A.values)
+    Y = product(A.values, P.components.T, transpose=True).T
     if P.centered:
         Y = Y - (P.components @ P.mean_vector)[:, None]
     return Y

@@ -116,9 +116,10 @@ def _sampled_pairs(n: int, pair_policy: PairPolicy):
 
 
 def _direct_distances(M, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances between columns ``i[t]`` and ``j[t]`` of a dense or sparse M.
+    """Distances between columns ``i[t]`` and ``j[t]`` of M, of any storage kind.
 
-    Direct differences, taken over blocks of bounded size.
+    Direct differences of the columns as float64, taken over blocks of
+    bounded size.
     """
     sq = np.empty(len(i))
     # entries of one pair's difference: at most d, and at most the stored
@@ -127,7 +128,7 @@ def _direct_distances(M, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     step = max(1, int(_BLOCK_ENTRIES // max(1.0, width)))
     for start in range(0, len(i), step):
         t = slice(start, start + step)
-        diff = M[:, i[t]] - M[:, j[t]]
+        diff = M[:, i[t]].astype(np.float64, copy=False) - M[:, j[t]]
         # elementwise for a dense and a sparse array alike
         sq[t] = np.asarray((diff * diff).sum(axis=0)).ravel()
     return np.sqrt(sq, out=sq)

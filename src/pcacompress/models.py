@@ -21,7 +21,12 @@ data to smooth perturbations:
 
 Generation draws every column from its own counter-based substream keyed
 by (seed, column), so output is bit-identical no matter how generation
-is ordered or parallelized.
+is ordered or parallelized. A model whose every cluster is
+bernoulli-residual is drawn into one of the three storage kinds of
+:mod:`~pcacompress.linalg`, bits: a bool d x n matrix at 1 byte per
+entry, where float64 would take 8. Every primitive of ``linalg`` reads
+it (its products in float64 blocks), and models that mix families are
+drawn as float64.
 """
 
 from __future__ import annotations
@@ -96,10 +101,10 @@ class NoiseSpec:
         return _truncated_gaussian_variance(scale, margin)
 
     def sample(self, center: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One noisy datapoint (center + noise), entries in [0, 1]."""
+        """One noisy datapoint (center + noise), entries in [0, 1]: bits for bernoulli-residual."""
         d = len(center)
         if self.family == "bernoulli-residual":
-            return (rng.random(d) < center).astype(np.float64)
+            return rng.random(d) < center
         scale = self.scale_vector(d)
         if self.family == "uniform-symmetric":
             return center + scale * (2.0 * rng.random(d) - 1.0)
@@ -246,10 +251,13 @@ def generate_dataset(model: RandomVectorModel, seed: int) -> DataMatrix:
     """Sample a labeled dataset; identical (model, seed) gives identical bytes.
 
     Column i draws from a Philox substream keyed (seed, i), so the result
-    does not depend on generation order.
+    does not depend on generation order. A model whose every cluster is
+    bernoulli-residual is drawn as bits (a bool matrix, 1 byte per
+    entry); any other as float64.
     """
     labels = model.labels()
-    out = np.empty((model.d, model.n), dtype=np.float64, order="F")
+    bits = all(spec.family == "bernoulli-residual" for spec in model.noise)
+    out = np.empty((model.d, model.n), dtype=bool if bits else np.float64, order="F")
     for col in range(model.n):
         cluster = labels[col]
         rng = np.random.Generator(np.random.Philox(key=[seed, col]))

@@ -32,6 +32,7 @@ from pcacompress.cluster import pipeline_compare
 from pcacompress.linalg import (
     DataMatrix,
     Projector,
+    as_dense,
     build_symmetric_embedding,
     fit_uncentered_pca,
     principal_angle,
@@ -94,8 +95,9 @@ def exact_gap(A, kprime: int) -> float:
     distances in ``np.triu_indices`` order, one double per pair, so no
     all-pairs difference array is ever built.
     """
-    U = scipy.linalg.svd(A.values, full_matrices=False)[0][:, :kprime]
-    ratio = pdist(A.values.T) / pdist((U.T @ A.values).T)
+    X = as_dense(A.values)  # float64: scipy's SVD would take bits as float32
+    U = scipy.linalg.svd(X, full_matrices=False)[0][:, :kprime]
+    ratio = pdist(X.T) / pdist((U.T @ X).T)
     i, j = np.triu_indices(A.n, k=1)
     same = A.labels[i] == A.labels[j]
     return float(ratio[same].mean() / ratio[~same].mean())
@@ -247,7 +249,7 @@ def test_05_pre_pca_concentration():
             for start in range(0, per_kind, 250):
                 sl = slice(start, start + 250)
                 dist = np.linalg.norm(
-                    A.values[:, a[sl]] - A.values[:, b[sl]], axis=0
+                    as_dense(A.values[:, a[sl]]) - as_dense(A.values[:, b[sl]]), axis=0
                 )
                 if kind == "intra":
                     bounds = np.array([lower[labels[c]] for c in a[sl]])

@@ -662,7 +662,7 @@ class TestOneGramPerSeed:
 
         for seed in seeds:
             A = generate_dataset(model, seed)
-            U = scipy.linalg.svd(A.values, full_matrices=False)[0][:, :kprime]
+            U = scipy.linalg.svd(linalg.as_dense(A.values), full_matrices=False)[0][:, :kprime]
             pre, post = pdist(A.values.T), pdist((U.T @ A.values).T)
             i, j = np.triu_indices(A.n, k=1)
             a = np.minimum(A.labels[i], A.labels[j])

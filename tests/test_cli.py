@@ -166,6 +166,20 @@ class TestExitCodes:
         assert "--prefix must be a plain file name" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["name-too-long", "path-is-a-directory"])
+    def test_unwritable_output_names_its_path(self, case, model_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        prefix = "x" * 300 if case == "name-too-long" else "dataset"
+        if case == "path-is-a-directory":
+            (out / "dataset.mtx").mkdir(parents=True)
+        code = cli.main(
+            ["simulate", "--model", str(model_path), "--prefix", prefix, "--out-dir", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert str(out / f"{prefix}.mtx") in err
+
 
 class TestManifest:
     def test_records_inputs_seed_versions_normalization(self, dataset, tmp_path):
@@ -446,6 +460,31 @@ class TestRangeEnds:
         unit, big, small = self.run(tmp_path, "compare-centering", "centering.json", 60)
         np.testing.assert_allclose(big["cosine"], unit["cosine"], rtol=1e-12)
         np.testing.assert_allclose(small["cosine"], unit["cosine"], rtol=1e-12)
+
+
+class TestMemory:
+    def test_verify_bounds_holds_a_bernoulli_draw_as_bits(self, tmp_path):
+        # the 40000 x 600 draw takes 192 MB as float64 and 24 MB as bits
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"sbm": {"d": 40000, "sizes": [300, 300], "p": 0.66, "q": 0.34}}))
+        # a child's peak counts its parent's resident set at the fork, so the
+        # command is started from a small launcher, not from this process
+        launcher = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "print(status, usage.ru_maxrss / 1024.0)"  # KiB on Linux
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-m", "pcacompress.cli",
+             "verify-bounds", "--model", str(model), "--seeds", "1", "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        status, peak_mb = done.stdout.split()
+        assert int(status) == 0
+        assert float(peak_mb) < 170.0
 
 
 class TestLazyImports:

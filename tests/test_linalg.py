@@ -26,17 +26,61 @@ def ones_with_one_unstored(d, n):
     return sp.csc_array(M)
 
 
+def _ast_name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _storage_reads(tree):
+    """Nodes of a module that tell storage kinds apart: a call to issparse, a read of
+    ``is_sparse``, an isinstance against an ndarray or sparse class, or a read of an
+    array's dtype, except ``np.dtype`` and an integer check ``np.issubdtype(x.dtype,
+    np.integer)`` of labels."""
+    integer_checks = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _ast_name(node.func) == "issubdtype"
+        and len(node.args) == 2 and _ast_name(node.args[1]) == "integer"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _ast_name(node.func) == "issparse":
+            yield node
+        elif isinstance(node, ast.Call) and _ast_name(node.func) == "isinstance":
+            kinds = ast.unparse(node.args[1]) if len(node.args) == 2 else ""
+            if "ndarray" in kinds or "sp." in kinds or "sparse" in kinds:
+                yield node
+        elif isinstance(node, ast.Attribute) and node.attr == "is_sparse":
+            yield node
+        elif (
+            isinstance(node, ast.Attribute) and node.attr == "dtype"
+            and _ast_name(node.value) != "np" and id(node) not in integer_checks
+        ):
+            yield node
+
+
 def test_only_linalg_tells_dense_from_sparse():
-    """No module but linalg calls issparse; the others read its storage primitives."""
-    callers = []
+    """No module but linalg tells dense, sparse and bits apart; the others read its primitives."""
+    readers = []
     for path in sorted(Path(la.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "issparse":
-                    callers.append(f"{path.name}:{node.lineno}")
-    assert callers and all(c.startswith("linalg.py:") for c in callers), callers
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers += [f"{path.name}:{node.lineno}" for node in _storage_reads(tree)]
+    assert readers and all(r.startswith("linalg.py:") for r in readers), readers
+
+
+def test_storage_reads_are_caught():
+    """The scan above finds each way of telling storage kinds apart, and passes a labels check."""
+    flagged = [
+        "sp.issparse(M)",
+        "A.is_sparse",
+        "isinstance(M, np.ndarray)",
+        "isinstance(M, sp.csc_array)",
+        "M.dtype == bool",
+        "A.values.dtype",
+    ]
+    for source in flagged:
+        assert list(_storage_reads(ast.parse(source))), source
+    passed = ["np.issubdtype(labels.dtype, np.integer)", "np.dtype([('a', np.int64)])", "isinstance(x, dict)"]
+    for source in passed:
+        assert not list(_storage_reads(ast.parse(source))), source
 
 
 class TestDataMatrix:
@@ -556,3 +600,127 @@ class TestSubspacePerturbation:
         noise_norm = la.spectral_norm(la.build_symmetric_embedding(E))
         s_k = scipy.linalg.svd(A, compute_uv=False)[k - 1]
         assert la.principal_angle(exact, noisy) <= 2 * noise_norm / s_k
+
+
+class TestBitsMatchFloat64:
+    """An all-Bernoulli draw held as bits gives the results of its float64 copy.
+
+    Blocks are made small, so that every blocked read of the bits spans many
+    blocks. Sums of 0/1 entries are exact, so the Gram product, the row means
+    and the squared norms are bit-identical; the other results sum floats
+    in another order, and agree to 1e-12 relative.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(la, "_BLOCK_ENTRIES", 5000)
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        from pcacompress.models import generate_dataset, sbm_rectangular
+
+        bits = generate_dataset(sbm_rectangular(600, [260, 260], 0.6, 0.3), seed=3)
+        assert bits.values.dtype == np.bool_
+        return bits, la.DataMatrix(bits.values.astype(np.float64), bits.labels)
+
+    @staticmethod
+    def close(got, want, rtol=1e-12):
+        got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+    def test_exact_sums_are_bit_identical(self, pair):
+        bits, floats = pair
+        for got, want in zip(la.centered_gram(bits.values), la.centered_gram(floats.values)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(bits.row_means(), floats.row_means())
+        for axis in (0, 1):
+            np.testing.assert_array_equal(
+                la.squared_norms(bits.values, axis), la.squared_norms(floats.values, axis)
+            )
+
+    def test_written_bytes_are_identical(self, pair, tmp_path):
+        from pcacompress.io import write_matrix
+
+        bits, floats = pair
+        write_matrix(bits, tmp_path / "bits.mtx")
+        write_matrix(floats, tmp_path / "floats.mtx")
+        assert (tmp_path / "bits.mtx").read_bytes() == (tmp_path / "floats.mtx").read_bytes()
+
+    @pytest.mark.parametrize("driver", ["dense", "gram", "lanczos"])
+    def test_fits_and_projections_agree(self, pair, driver):
+        bits, floats = pair
+        if driver == "dense":  # a shape the dense driver takes
+            bits, floats = (la.DataMatrix(A.values[:, :300], A.labels[:300]) for A in pair)
+        fits = []
+        for A in (bits, floats):
+            gram = la.centered_gram(A.values) if driver == "gram" else None
+            fits.append(la.fit_uncentered_pca(A, 4, gram=gram))
+        assert [P.driver for P in fits] == [driver, driver]
+        self.close(fits[0].singular_values, fits[1].singular_values)
+        self.close(fits[0].components, fits[1].components)
+        self.close(la.project_columns(fits[0], bits), la.project_columns(fits[1], floats))
+
+    def test_centered_fit_agrees(self, pair):
+        fits = [la.fit_centered_pca(A, 4) for A in pair]
+        self.close(fits[0].singular_values, fits[1].singular_values)
+        self.close(fits[0].components, fits[1].components)
+
+    def test_direct_pair_distances_agree(self, pair, monkeypatch):
+        from pcacompress import metrics
+
+        # every pair's original distance is recomputed by direct difference
+        monkeypatch.setattr(metrics, "GRAM_RECOMPUTE_RTOL", 2.0)
+        bits, floats = pair
+        P = la.fit_uncentered_pca(floats, 4)
+        tables = []
+        for A in pair:
+            table = metrics.ClusterPairTable(A.labels, extremes=True)
+            metrics.pair_compression(A, P, (table,), gram=la.centered_gram(A.values)[0])
+            tables.append(table)
+        pairs = bits.n * (bits.n - 1) // 2
+        assert tables[0].recomputed == tables[1].recomputed == pairs
+        cells = np.triu_indices(len(tables[0].count))  # cell (a, b) holds pairs for a <= b
+        for q in ("pre", "post", "ratio"):
+            for stat in ("sum", "min", "max"):
+                self.close(getattr(tables[0], stat)[q][cells], getattr(tables[1], stat)[q][cells])
+
+    @pytest.mark.parametrize("source", ["gram", "direct"])
+    def test_noise_norm_agrees(self, pair, source, monkeypatch):
+        from pcacompress import bounds
+        from pcacompress.models import sbm_rectangular
+
+        if source == "direct":
+            monkeypatch.setattr(bounds, "NOISE_GRAM_RTOL", 0.0)
+        model = sbm_rectangular(600, [260, 260], 0.6, 0.3)
+        norms = []
+        for A in pair:
+            got, used = bounds._noise_norm(model, A, *la.centered_gram(A.values))
+            assert used == source
+            norms.append(got)
+        self.close(norms[0], norms[1])
+
+    def test_kmeans_labels_are_identical(self, pair):
+        from pcacompress.cluster import kmeans
+
+        bits, floats = pair
+        np.testing.assert_array_equal(
+            kmeans(bits.values.T, 2, seed=0).labels, kmeans(floats.values.T, 2, seed=0).labels
+        )
+
+    def test_mixed_families_draw_float64(self):
+        from pcacompress.models import NoiseSpec, RandomVectorModel, generate_dataset
+
+        centers = np.full((2, 30), 0.5)
+        noise = [NoiseSpec("bernoulli-residual"), NoiseSpec("uniform-symmetric", 0.2)]
+        A = generate_dataset(RandomVectorModel(centers, [5, 6], noise), seed=0)
+        assert A.values.dtype == np.float64
+        assert set(np.unique(A.values[:, :5])) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_non_finite_entry_is_rejected_by_name(bad, sparse):
+    values = np.ones((3, 4))
+    values[2, 1] = bad
+    with pytest.raises(InputError, match="^data matrix contains non-finite entries$"):
+        la.DataMatrix(sp.csc_array(values) if sparse else values)
