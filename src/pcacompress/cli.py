@@ -5,13 +5,15 @@ command handlers, after ``--threads`` has pinned the BLAS pool sizes via
 environment variables. That only works when this process has not
 imported numpy yet, which is true for the console entry point.
 
-Every run writes ``manifest.json`` into the output directory recording
-the command, its inputs and their sha256 digests, the seed, the
-normalization applied, the BLAS thread variables in effect, library
-versions, and for a command that fits (``analyze``, ``sweep-pcs``) the
-fit's SVD driver, certifying residual and gap warning. Exit codes:
-0 success, 2 bad input or an output that cannot be written, 3 numerical
-failure.
+Each handler returns a ``Report`` and ``write_report`` writes it: the
+JSON report on every run, its TSV tables beside it under ``--format
+tsv``, then ``manifest.json`` recording the command, its inputs and
+their sha256 digests, the seed, the normalization applied, the BLAS
+thread variables in effect, library versions, and for a command that
+fits (``analyze``, ``sweep-pcs``) the fit's SVD driver, certifying
+residual and gap warning. A subcommand accepts only the options it
+reads. Exit codes: 0 success, 2 bad input or an output that cannot be
+written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -44,12 +46,15 @@ def set_thread_count(threads: int) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--pcs", type=int, default=None, help="number of components k'")
     common.add_argument("--threads", type=int, default=None, help="BLAS thread count")
     common.add_argument("--out-dir", default=".", help="directory for all outputs")
-    common.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    ingest = argparse.ArgumentParser(add_help=False)
+    report = argparse.ArgumentParser(add_help=False, parents=[common])
+    report.add_argument(
+        "--format", choices=("json", "tsv"), default="json", help="tsv adds tables beside the JSON"
+    )
+
+    ingest = argparse.ArgumentParser(add_help=False, parents=[report])
     ingest.add_argument("--matrix", required=True, help="matrix file (.mtx/.csv, optionally .gz)")
     ingest.add_argument(
         "--matrix-format", choices=("auto", "matrix-market", "csv"), default="auto"
@@ -68,9 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        parents=[common, ingest],
+        parents=[ingest],
         help="per-cluster compression tables, point summaries, and the curve",
     )
+    p.add_argument("--pcs", type=int, required=True, help="number of components k'")
     p.add_argument("--centered", action="store_true", help="subtract the mean before the fit")
     p.add_argument(
         "--sample-pairs",
@@ -85,10 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-bounds",
-        parents=[common],
+        parents=[report],
         help="Monte-Carlo check of every closed-form bound on a model",
     )
     p.add_argument("--model", required=True, help="model JSON")
+    p.add_argument("--pcs", type=int, default=None, help="number of components k' (default: k)")
     p.add_argument("--c0", type=float, default=1.0, help="spectral constant C0")
     p.add_argument("--seeds", type=int, default=5, help="number of datasets to draw")
     p.add_argument(
@@ -97,24 +104,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the measured s_k instead of the mean-matrix value",
     )
 
-    sub.add_parser(
+    p = sub.add_parser(
         "compare-centering",
-        parents=[common, ingest],
+        parents=[ingest],
         help="uncentered versus centered fit on one dataset",
     )
+    p.add_argument("--pcs", type=int, required=True, help="number of components k'")
 
     p = sub.add_parser(
         "cluster-compare",
-        parents=[common, ingest],
+        parents=[ingest],
         help="k-means on raw data versus PCA versus graph communities",
     )
+    p.add_argument("--pcs", type=int, default=None, help="number of components k' (default: k)")
     p.add_argument("--clusters", type=int, default=None, help="k (default: label count)")
     p.add_argument("--neighbors", type=int, default=20, help="kNN graph degree")
     p.add_argument("--runs", type=int, default=5, help="number of k-means seeds")
 
     p = sub.add_parser(
         "sweep-pcs",
-        parents=[common, ingest],
+        parents=[ingest],
         help="intra/inter ratio gap across a grid of component counts",
     )
     p.add_argument("--grid", required=True, help="comma-separated k' values, e.g. 4,9,19")
@@ -122,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "calibrate-c0",
-        parents=[common],
+        parents=[report],
         help="smallest C0 whose noise-norm bound holds over sampled seeds",
     )
     p.add_argument("--model", required=True, help="model JSON")
@@ -178,19 +187,46 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(args, inputs: dict, extra: dict = None) -> None:
+@dataclasses.dataclass
+class Report:
+    """What a command hands to :func:`write_report`.
+
+    ``doc`` is the JSON report, written to ``name`` on every run;
+    ``tables`` maps a file name to a header and rows, written beside it
+    under ``--format tsv``. ``extra`` adds fields to the manifest.
+    """
+
+    name: str = None
+    doc: dict = None
+    tables: dict = dataclasses.field(default_factory=dict)
+    extra: dict = dataclasses.field(default_factory=dict)
+
+
+def write_report(args, report: Report) -> None:
+    """Write a command's JSON report, its tables under ``--format tsv``, then the manifest."""
     import numpy
     import scipy
 
     from . import __version__
 
-    doc = {
+    if hasattr(args, "matrix"):
+        inputs = {"matrix": args.matrix, "labels": args.labels}
+    else:
+        inputs = {"model": args.model}
+    out = _out_dir(args)
+    if report.doc is not None:
+        _write_json(out / report.name, report.doc)
+    fmt = getattr(args, "format", None)
+    if fmt == "tsv":
+        for name, (header, rows) in report.tables.items():
+            _write_tsv(out / name, header, rows)
+    manifest = {
         "command": args.command,
         "inputs": inputs,
         "input_sha256": {name: _sha256(path) for name, path in inputs.items() if path},
         "seed": args.seed,
-        "pcs": args.pcs,
-        "format": args.format,
+        "pcs": getattr(args, "pcs", None),
+        "format": fmt,
         "normalization": getattr(args, "normalize", "none"),
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "versions": {
@@ -199,10 +235,9 @@ def write_manifest(args, inputs: dict, extra: dict = None) -> None:
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
+        **report.extra,
     }
-    if extra:
-        doc.update(extra)
-    _write_json(_out_dir(args) / "manifest.json", doc)
+    _write_json(out / "manifest.json", manifest)
 
 
 def _ingest(args):
@@ -216,12 +251,6 @@ def _ingest(args):
         transpose=args.transpose,
     )
     return load_matrix(spec)
-
-
-def _require_pcs(args) -> int:
-    if args.pcs is None:
-        raise InputError(f"{args.command} requires --pcs")
-    return args.pcs
 
 
 def _pair_policy(args):
@@ -285,7 +314,7 @@ def _summary_rows(summary, names) -> list:
     ]
 
 
-def cmd_analyze(args) -> None:
+def cmd_analyze(args) -> Report:
     import numpy as np
 
     from .linalg import fit_centered_pca, fit_uncentered_pca
@@ -299,10 +328,9 @@ def cmd_analyze(args) -> None:
         pointwise_summary,
     )
 
-    kprime = _require_pcs(args)
     A, names = _ingest(args)
     fit = fit_centered_pca if args.centered else fit_uncentered_pca
-    P = fit(A, kprime, args.seed)
+    P = fit(A, args.pcs, args.seed)
     # one pass fills every sink; only the curve's cut bins take a second
     if A.labels is None:
         # one cluster holding every point: its single cell is every pair
@@ -311,10 +339,9 @@ def cmd_analyze(args) -> None:
         sinks = [sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)]
     pairs = pair_compression(A, P, sinks, _pair_policy(args))
     table = sinks[0]
-    out = _out_dir(args)
 
     doc = {
-        "pcs": kprime,
+        "pcs": args.pcs,
         "centered": args.centered,
         "singular_values": P.singular_values.tolist(),
         "gap_warning": P.gap_warning,
@@ -322,33 +349,30 @@ def cmd_analyze(args) -> None:
         "svd_residual": P.residual,
         **_pair_fields(args, table.count.sum(), table.recomputed),
     }
+    tables = {}
     if A.labels is not None:
         summary = cluster_summary(table)
         points = pointwise_summary(sinks[1])
         curve = intra_fraction_curve(pairs, sinks[2])
         doc["clusters"] = _summary_doc(summary, names)
         doc["points"] = [dataclasses.asdict(p) for p in points]
-        _write_curve_csv(out / "curve.csv", curve)
-        if args.format == "tsv":
-            _write_tsv(out / "compression.tsv", SUMMARY_HEADER, _summary_rows(summary, names))
-            _write_tsv(
-                out / "points.tsv",
-                ("point", "label", "intra_ratio_avg", "inter_ratio_avg"),
-                [
-                    [p.point, _cluster_name(names, int(A.labels[p.point])), p.intra_avg, p.inter_avg]
-                    for p in points
-                ],
-            )
+        _write_curve_csv(_out_dir(args) / "curve.csv", curve)
+        tables["compression.tsv"] = (SUMMARY_HEADER, _summary_rows(summary, names))
+        tables["points.tsv"] = (
+            ("point", "label", "intra_ratio_avg", "inter_ratio_avg"),
+            [
+                [p.point, _cluster_name(names, int(A.labels[p.point])), p.intra_avg, p.inter_avg]
+                for p in points
+            ],
+        )
     else:
         overall = table.group(0)
         keys = ("pre_avg", "post_avg", "ratio_avg", "excluded")
         doc["overall"] = {key: getattr(overall, key) for key in keys}
-    if args.format == "json":
-        _write_json(out / "analysis.json", doc)
-    write_manifest(args, {"matrix": args.matrix, "labels": args.labels}, {"fit": _fit_record(P)})
+    return Report("analysis.json", doc, tables, {"fit": _fit_record(P)})
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args) -> Report:
     from .io import write_labels, write_matrix
     from .models import generate_dataset, load_model
 
@@ -361,14 +385,11 @@ def cmd_simulate(args) -> None:
     labels_path = out / f"{args.prefix}.labels.txt"
     write_matrix(A, matrix_path)
     write_labels(A.labels, labels_path)
-    write_manifest(
-        args,
-        {"model": args.model},
-        {"outputs": {"matrix": matrix_path.name, "labels": labels_path.name}},
-    )
+    outputs = {"matrix": matrix_path.name, "labels": labels_path.name}
+    return Report(extra={"outputs": outputs})
 
 
-def cmd_verify_bounds(args) -> None:
+def cmd_verify_bounds(args) -> Report:
     from .bounds import verify_bounds
     from .models import load_model
 
@@ -380,81 +401,66 @@ def cmd_verify_bounds(args) -> None:
         C0=args.c0,
         use_empirical_sk=args.empirical_sk,
     )
-    out = _out_dir(args)
-    if args.format == "json":
-        _write_json(out / "bounds.json", report.to_dict())
-    else:
-        header = ("bound", "clusters", "analytic", "empirical", "violations", "trials", "vacuous")
-        rows = []
-        for record in report.records:
-            doc = dict(record.to_dict(), clusters=",".join(str(c) for c in record.clusters))
-            rows.append([doc[key] for key in header])
-        _write_tsv(out / "bounds.tsv", header, rows)
-    write_manifest(args, {"model": args.model}, {"c0": args.c0, "seeds": args.seeds})
+    doc = report.to_dict()
+    header = ("bound", "clusters", "analytic", "empirical", "violations", "trials", "vacuous")
+    rows = []
+    for record in doc["records"]:
+        record = dict(record, clusters=",".join(str(c) for c in record["clusters"]))
+        rows.append([record[key] for key in header])
+    extra = {"c0": args.c0, "seeds": args.seeds}
+    return Report("bounds.json", doc, {"bounds.tsv": (header, rows)}, extra)
 
 
-def cmd_compare_centering(args) -> None:
+def cmd_compare_centering(args) -> Report:
     from .metrics import centering_comparison
 
-    kprime = _require_pcs(args)
     A, names = _ingest(args)
-    report = centering_comparison(A, kprime, args.seed)
-    out = _out_dir(args)
-    doc = {"cosine": report.cosine, "pcs": kprime}
+    report = centering_comparison(A, args.pcs, args.seed)
+    doc = {"cosine": report.cosine, "pcs": args.pcs}
+    rows = []
     if report.uncentered is not None:
         doc["uncentered"] = _summary_doc(report.uncentered, names)
         doc["centered"] = _summary_doc(report.centered, names)
         doc["ratio_deltas"] = report.ratio_deltas
-    if args.format == "json":
-        _write_json(out / "centering.json", doc)
-    else:
-        rows = []
-        if report.uncentered is not None:
-            for fit_name, summary in (
-                ("uncentered", report.uncentered),
-                ("centered", report.centered),
-            ):
-                for row in _summary_rows(summary, names):
-                    rows.append([fit_name] + row)
-        _write_tsv(out / "centering.tsv", ("fit",) + SUMMARY_HEADER, rows)
-    write_manifest(args, {"matrix": args.matrix, "labels": args.labels})
+        for fit_name, summary in (("uncentered", report.uncentered), ("centered", report.centered)):
+            rows += [[fit_name] + row for row in _summary_rows(summary, names)]
+    return Report("centering.json", doc, {"centering.tsv": (("fit",) + SUMMARY_HEADER, rows)})
 
 
-def cmd_cluster_compare(args) -> None:
+def cmd_cluster_compare(args) -> Report:
     from .cluster import pipeline_compare
 
     if args.clusters is not None and args.clusters < 1:
         raise InputError("--clusters must be at least 1")
+    if args.runs < 1:
+        raise InputError("--runs must be at least 1")
     A, names = _ingest(args)
     if A.labels is None:
         raise InputError("cluster-compare requires --labels")
     k = args.clusters if args.clusters is not None else len(names)
+    if k > A.n:
+        raise InputError(f"--clusters must be at most n={A.n}, got {k}")
+    if not 1 <= args.neighbors < A.n:
+        raise InputError(f"--neighbors must be at least 1 and below n={A.n}, got {args.neighbors}")
     kprime = args.pcs if args.pcs is not None else k
     seeds = [args.seed + t for t in range(args.runs)]
     report = pipeline_compare(A, k, kprime, seeds, neighbors=args.neighbors)
-    out = _out_dir(args)
-    if args.format == "json":
-        _write_json(out / "comparison.json", report.to_dict())
-    else:
-        rows = [
-            [arm, r.seed, r.ari, r.nmi, r.accuracy]
-            for arm, results in report.arms.items()
-            for r in results
-        ]
-        rows += [
-            [arm, "median", report.median(arm, "ari"), report.median(arm, "nmi"),
-             report.median(arm, "accuracy")]
-            for arm in report.arms
-        ]
-        _write_tsv(out / "comparison.tsv", ("arm", "seed", "ari", "nmi", "accuracy"), rows)
-    write_manifest(
-        args,
-        {"matrix": args.matrix, "labels": args.labels},
-        {"clusters": k, "neighbors": args.neighbors, "runs": args.runs},
-    )
+    rows = [
+        [arm, r.seed, r.ari, r.nmi, r.accuracy]
+        for arm, results in report.arms.items()
+        for r in results
+    ]
+    rows += [
+        [arm, "median", report.median(arm, "ari"), report.median(arm, "nmi"),
+         report.median(arm, "accuracy")]
+        for arm in report.arms
+    ]
+    tables = {"comparison.tsv": (("arm", "seed", "ari", "nmi", "accuracy"), rows)}
+    extra = {"clusters": k, "neighbors": args.neighbors, "runs": args.runs}
+    return Report("comparison.json", report.to_dict(), tables, extra)
 
 
-def cmd_sweep_pcs(args) -> None:
+def cmd_sweep_pcs(args) -> Report:
     from .linalg import fit_uncentered_pca
     from .metrics import pcs_sweep
 
@@ -470,41 +476,23 @@ def cmd_sweep_pcs(args) -> None:
 
     full = fit_uncentered_pca(A, grid[-1], args.seed)
     sweep = pcs_sweep(A, full, grid, _pair_policy(args))
-    results = sweep.rows
-    out = _out_dir(args)
-    if args.format == "json":
-        doc = {"grid": results, **_pair_fields(args, sweep.pair_count, sweep.recomputed)}
-        _write_json(out / "sweep.json", doc)
-    else:
-        _write_tsv(
-            out / "sweep.tsv",
-            ("pcs", "intra_ratio_avg", "inter_ratio_avg", "gap"),
-            [[r["pcs"], r["intra_ratio_avg"], r["inter_ratio_avg"], r["gap"]] for r in results],
-        )
-    write_manifest(
-        args, {"matrix": args.matrix, "labels": args.labels}, {"grid": grid, "fit": _fit_record(full)}
-    )
+    doc = {"grid": sweep.rows, **_pair_fields(args, sweep.pair_count, sweep.recomputed)}
+    header = ("pcs", "intra_ratio_avg", "inter_ratio_avg", "gap")
+    tables = {"sweep.tsv": (header, [[r[key] for key in header] for r in sweep.rows])}
+    return Report("sweep.json", doc, tables, {"grid": grid, "fit": _fit_record(full)})
 
 
-def cmd_calibrate_c0(args) -> None:
+def cmd_calibrate_c0(args) -> Report:
     from .bounds import calibrate_c0
     from .models import load_model
 
     model = load_model(args.model)
     seeds = range(args.seed, args.seed + args.seeds)
     calibration = calibrate_c0(model, seeds=seeds)
-    out = _out_dir(args)
-    doc = {"c0": calibration.value, "ratios": list(calibration.ratios)}
-    if args.format == "json":
-        _write_json(out / "c0.json", doc)
-    else:
-        _write_tsv(
-            out / "c0.tsv",
-            ("seed", "ratio"),
-            [[s, r] for s, r in zip(seeds, calibration.ratios)] + [["c0", calibration.value]],
-        )
     print(f"{calibration.value!r}")
-    write_manifest(args, {"model": args.model}, {"seeds": args.seeds})
+    rows = [[s, r] for s, r in zip(seeds, calibration.ratios)] + [["c0", calibration.value]]
+    doc = {"c0": calibration.value, "ratios": list(calibration.ratios)}
+    return Report("c0.json", doc, {"c0.tsv": (("seed", "ratio"), rows)}, {"seeds": args.seeds})
 
 
 COMMANDS = {
@@ -524,9 +512,10 @@ def main(argv=None) -> int:
     try:
         if args.threads is not None:
             set_thread_count(args.threads)
-        if args.pcs is not None and args.pcs < 1:
-            raise InputError(f"--pcs must be at least 1, got {args.pcs}")
-        COMMANDS[args.command](args)
+        pcs = getattr(args, "pcs", None)
+        if pcs is not None and pcs < 1:
+            raise InputError(f"--pcs must be at least 1, got {pcs}")
+        write_report(args, COMMANDS[args.command](args))
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, manifests, file layouts, round trips."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -35,6 +36,19 @@ def dataset(tmp_path, model_path):
     return out / "dataset.mtx", out / "dataset.labels.txt"
 
 
+@pytest.fixture
+def expand(dataset, model_path, tmp_path):
+    """Replace the path placeholders in an argument list."""
+    matrix, labels = dataset
+    paths = {
+        "{matrix}": [str(matrix)],
+        "{absent}": [str(tmp_path / "absent.mtx")],
+        "{model}": [str(model_path)],
+        "{ingest}": ["--matrix", str(matrix), "--labels", str(labels)],
+    }
+    return lambda argv: [arg for token in argv for arg in paths.get(token, [token])]
+
+
 class TestExitCodes:
     def test_zero_pcs_is_input_error(self, dataset, tmp_path):
         matrix, labels = dataset
@@ -62,6 +76,54 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--clusters must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep-pcs", "--matrix", "{matrix}", "--grid", "2"], "sweep-pcs requires --labels"),
+            (["sweep-pcs", "{ingest}", "--grid", "0,3"], "--grid values must be positive"),
+            (["cluster-compare", "--matrix", "{matrix}"], "cluster-compare requires --labels"),
+            # --runs is checked before the matrix is read
+            (["cluster-compare", "--matrix", "{absent}", "--runs", "0"],
+             "--runs must be at least 1"),
+            (["cluster-compare", "{ingest}", "--neighbors", "0"],
+             "--neighbors must be at least 1 and below n=24, got 0"),
+            (["cluster-compare", "{ingest}", "--neighbors", "24"],
+             "--neighbors must be at least 1 and below n=24, got 24"),
+            (["cluster-compare", "{ingest}", "--clusters", "25"],
+             "--clusters must be at most n=24, got 25"),
+        ],
+        ids=["sweep-unlabeled", "sweep-zero-grid", "cluster-unlabeled", "runs-zero",
+             "neighbors-zero", "neighbors-n", "clusters-above-n"],
+    )
+    def test_unusable_run_exits_two_before_the_fit(self, argv, message, expand, tmp_path,
+                                                   monkeypatch, capsys):
+        from pcacompress import cluster, metrics
+
+        def fit(*args, **kwargs):
+            raise AssertionError("reached the fit")
+
+        monkeypatch.setattr(cluster, "pipeline_compare", fit)
+        monkeypatch.setattr(metrics, "pcs_sweep", fit)
+        assert cli.main([*expand(argv), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "{model}", "--pcs", "3"],
+            ["simulate", "--model", "{model}", "--format", "tsv"],
+            ["sweep-pcs", "{ingest}", "--grid", "2", "--pcs", "3"],
+            ["calibrate-c0", "--model", "{model}", "--pcs", "3"],
+        ],
+        ids=["simulate-pcs", "simulate-format", "sweep-pcs-pcs", "calibrate-c0-pcs"],
+    )
+    def test_option_the_command_does_not_read_is_rejected(self, argv, expand, tmp_path, capsys):
+        argv = expand(argv)
+        with pytest.raises(SystemExit) as info:
+            cli.main([argv[0], "--out-dir", str(tmp_path), *argv[1:]])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = cli.main(
@@ -210,11 +272,13 @@ class TestManifest:
             "residual": analysis["svd_residual"],
             "gap_warning": analysis["gap_warning"],
         }
-        # a tsv run writes no sweep.json; its manifest still holds the fit
+        # a tsv run writes a sweep.json identical to the json run's, and the fit
         sweep = tmp_path / "sweep"
         args = ["--matrix", str(matrix), "--labels", str(labels), "--grid", "2,3"]
         assert cli.main(["sweep-pcs", *args, "--format", "tsv", "--out-dir", str(sweep)]) == 0
-        assert not (sweep / "sweep.json").exists()
+        json_run = tmp_path / "json"
+        assert cli.main(["sweep-pcs", *args, "--out-dir", str(json_run)]) == 0
+        assert (sweep / "sweep.json").read_bytes() == (json_run / "sweep.json").read_bytes()
         fit = json.loads((sweep / "manifest.json").read_text())["fit"]
         assert fit == {"driver": "dense", "residual": None, "gap_warning": False}
 
@@ -242,6 +306,81 @@ class TestManifest:
         assert code == 0
         assert (out / "manifest.json").exists()
         assert (out / "c0.json").exists()
+
+
+INGEST = ["--matrix", "--matrix-format", "--labels", "--normalize", "--transpose"]
+COMMON = ["-h", "--help", "--seed", "--threads", "--out-dir"]
+
+
+class TestReportWriter:
+    """Every run writes its JSON report; ``--format tsv`` adds its tables beside it."""
+
+    # each case: argv, the JSON report and a field it must hold, and the
+    # sha256 of every table on the fixture dataset, which pins the table bytes
+    CASES = {
+        "analyze": (
+            ["analyze", "{ingest}", "--pcs", "2"], "analysis.json", "clusters",
+            {"compression.tsv": "d12912d7f895ec185751c3c5dfa9c0f59f8aef784eb56a5dfaede8fda4a9060b",
+             "points.tsv": "b6286d65c958a6112b6b92890fb26d3e117dfbdc00028cc83e9b2c6c8a3fd3ac"},
+        ),
+        "analyze-unlabeled": (
+            ["analyze", "--matrix", "{matrix}", "--pcs", "2"], "analysis.json", "overall", {},
+        ),
+        "compare-centering": (
+            ["compare-centering", "{ingest}", "--pcs", "2"], "centering.json", "cosine",
+            {"centering.tsv": "f591caaa4bcd353dbec695d6ff83efef4ed11ee362db9ef1fe9c988401823659"},
+        ),
+        "cluster-compare": (
+            ["cluster-compare", "{ingest}", "--runs", "2"], "comparison.json", "medians",
+            {"comparison.tsv": "904fe0d7e3abc3b08afaac44f8728c08b43a62af577108e3a41c00bbfdff1178"},
+        ),
+        "sweep-pcs": (
+            ["sweep-pcs", "{ingest}", "--grid", "2,3"], "sweep.json", "pair_count",
+            {"sweep.tsv": "8059a222bccbd7c6395ed02710195b3dec3c00147148b173db6f9a8591007eb2"},
+        ),
+        "verify-bounds": (
+            ["verify-bounds", "--model", "{model}", "--seeds", "2", "--c0", "2.0"], "bounds.json",
+            "noise_norm_sources",
+            {"bounds.tsv": "55bb825d60f6aed46b6d39311dc63f2c707945055d1176b4db091ea8584a8e68"},
+        ),
+        "calibrate-c0": (
+            ["calibrate-c0", "--model", "{model}", "--seeds", "3"], "c0.json", "ratios",
+            {"c0.tsv": "39b399a2897bbca0b273ca73457da049b4ee6cc89611b4e76d1eae9bf266c22d"},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_tsv_run_writes_the_json_report_and_its_tables(self, case, expand, tmp_path):
+        argv, report, field, tables = self.CASES[case]
+        for fmt in ("json", "tsv"):
+            assert cli.main([*expand(argv), "--format", fmt, "--out-dir", str(tmp_path / fmt)]) == 0
+        json_run, tsv_run = tmp_path / "json", tmp_path / "tsv"
+        assert (tsv_run / report).read_bytes() == (json_run / report).read_bytes()
+        assert field in json.loads((tsv_run / report).read_text())
+        written = {path.name for path in tsv_run.iterdir()} - {"manifest.json", "curve.csv"}
+        assert written == {report, *tables}
+        assert {name: hashlib.sha256((tsv_run / name).read_bytes()).hexdigest()
+                for name in tables} == tables
+        assert not list(json_run.glob("*.tsv"))
+
+    def test_each_subcommand_accepts_only_the_options_it_reads(self):
+        report = COMMON + ["--format"]
+        expected = {
+            "analyze": report + INGEST + ["--pcs", "--centered", "--sample-pairs"],
+            "simulate": COMMON + ["--model", "--prefix"],
+            "verify-bounds": report + ["--model", "--pcs", "--c0", "--seeds", "--empirical-sk"],
+            "compare-centering": report + INGEST + ["--pcs"],
+            "cluster-compare": report + INGEST + ["--pcs", "--clusters", "--neighbors", "--runs"],
+            "sweep-pcs": report + INGEST + ["--grid", "--sample-pairs"],
+            "calibrate-c0": report + ["--model", "--seeds"],
+        }
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        accepted = {
+            name: sorted(option for action in command._actions for option in action.option_strings)
+            for name, command in sub.choices.items()
+        }
+        assert accepted == {name: sorted(options) for name, options in expected.items()}
 
 
 class TestThreads:

@@ -98,6 +98,19 @@ def _truncated_gzip():
     return blob[: len(blob) // 2]
 
 
+class TestIngestSpec:
+    @pytest.mark.parametrize(
+        "choice, message",
+        [({"fmt": "hdf5"}, "format must be one of"),
+         ({"normalization": "zscore"}, "normalization must be one of")],
+        ids=["format", "normalization"],
+    )
+    def test_unknown_choice_is_input_error(self, choice, message):
+        # the command line offers only the known choices; a library caller may not
+        with pytest.raises(InputError, match=message):
+            IngestSpec("m.mtx", **choice)
+
+
 class TestMatrixMarket:
     def test_reads_coordinates_one_based(self, tmp_path):
         path = write_text(tmp_path / "m.mtx", MM_LINES)
