@@ -459,10 +459,6 @@ class BoundReport:
                 return rec
         raise KeyError((bound, clusters))
 
-    @property
-    def total_violations(self) -> int:
-        return sum(r.violations for r in self.records)
-
     def to_dict(self) -> dict:
         return {
             "s_k_analytic": self.s_k_analytic,

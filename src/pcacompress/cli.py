@@ -5,9 +5,11 @@ command handlers, after ``--threads`` has pinned the BLAS pool sizes via
 environment variables. That only works when this process has not
 imported numpy yet, which is true for the console entry point.
 
-Each handler returns a ``Report`` and ``write_report`` writes it: the
-JSON report on every run, its TSV tables beside it under ``--format
-tsv``, then ``manifest.json`` recording the command, its inputs and
+Each handler returns a ``Report`` of every file it writes, and
+``write_report`` writes them: the command's own files (``simulate``'s
+dataset, ``analyze``'s ``curve.csv``) and the JSON report on every run,
+the TSV tables that have rows beside them under ``--format tsv``, then
+``manifest.json`` recording the command, its inputs and
 their sha256 digests, the seed, the normalization applied, the BLAS
 thread variables in effect, library versions, and for a command that
 fits (``analyze``, ``sweep-pcs``) the fit's SVD driver, certifying
@@ -189,21 +191,24 @@ def _sha256(path) -> str:
 
 @dataclasses.dataclass
 class Report:
-    """What a command hands to :func:`write_report`.
+    """Every file a command writes, handed to :func:`write_report`.
 
-    ``doc`` is the JSON report, written to ``name`` on every run;
-    ``tables`` maps a file name to a header and rows, written beside it
-    under ``--format tsv``. ``extra`` adds fields to the manifest.
+    ``doc`` is the JSON report, written to ``name`` on every run, and
+    ``files`` maps a file name to a function that writes it to a path,
+    also on every run. ``tables`` maps a file name to a header and rows,
+    written beside them under ``--format tsv`` when there are rows.
+    ``extra`` adds fields to the manifest.
     """
 
     name: str = None
     doc: dict = None
     tables: dict = dataclasses.field(default_factory=dict)
+    files: dict = dataclasses.field(default_factory=dict)
     extra: dict = dataclasses.field(default_factory=dict)
 
 
 def write_report(args, report: Report) -> None:
-    """Write a command's JSON report, its tables under ``--format tsv``, then the manifest."""
+    """Write a command's files, its JSON report, its tables under ``--format tsv``, then the manifest."""
     import numpy
     import scipy
 
@@ -214,12 +219,15 @@ def write_report(args, report: Report) -> None:
     else:
         inputs = {"model": args.model}
     out = _out_dir(args)
+    for name, write in report.files.items():
+        write(out / name)
     if report.doc is not None:
         _write_json(out / report.name, report.doc)
     fmt = getattr(args, "format", None)
     if fmt == "tsv":
         for name, (header, rows) in report.tables.items():
-            _write_tsv(out / name, header, rows)
+            if rows:
+                _write_tsv(out / name, header, rows)
     manifest = {
         "command": args.command,
         "inputs": inputs,
@@ -349,14 +357,14 @@ def cmd_analyze(args) -> Report:
         "svd_residual": P.residual,
         **_pair_fields(args, table.count.sum(), table.recomputed),
     }
-    tables = {}
+    tables, files = {}, {}
     if A.labels is not None:
         summary = cluster_summary(table)
         points = pointwise_summary(sinks[1])
         curve = intra_fraction_curve(pairs, sinks[2])
         doc["clusters"] = _summary_doc(summary, names)
         doc["points"] = [dataclasses.asdict(p) for p in points]
-        _write_curve_csv(_out_dir(args) / "curve.csv", curve)
+        files["curve.csv"] = lambda path: _write_curve_csv(path, curve)
         tables["compression.tsv"] = (SUMMARY_HEADER, _summary_rows(summary, names))
         tables["points.tsv"] = (
             ("point", "label", "intra_ratio_avg", "inter_ratio_avg"),
@@ -369,7 +377,7 @@ def cmd_analyze(args) -> Report:
         overall = table.group(0)
         keys = ("pre_avg", "post_avg", "ratio_avg", "excluded")
         doc["overall"] = {key: getattr(overall, key) for key in keys}
-    return Report("analysis.json", doc, tables, {"fit": _fit_record(P)})
+    return Report("analysis.json", doc, tables, files, {"fit": _fit_record(P)})
 
 
 def cmd_simulate(args) -> Report:
@@ -380,13 +388,12 @@ def cmd_simulate(args) -> Report:
         raise InputError(f"--prefix must be a plain file name, got {args.prefix!r}")
     model = load_model(args.model)
     A = generate_dataset(model, seed=args.seed)
-    out = _out_dir(args)
-    matrix_path = out / f"{args.prefix}.mtx"
-    labels_path = out / f"{args.prefix}.labels.txt"
-    write_matrix(A, matrix_path)
-    write_labels(A.labels, labels_path)
-    outputs = {"matrix": matrix_path.name, "labels": labels_path.name}
-    return Report(extra={"outputs": outputs})
+    outputs = {"matrix": f"{args.prefix}.mtx", "labels": f"{args.prefix}.labels.txt"}
+    files = {
+        outputs["matrix"]: lambda path: write_matrix(A, path),
+        outputs["labels"]: lambda path: write_labels(A.labels, path),
+    }
+    return Report(files=files, extra={"outputs": outputs})
 
 
 def cmd_verify_bounds(args) -> Report:
@@ -408,7 +415,7 @@ def cmd_verify_bounds(args) -> Report:
         record = dict(record, clusters=",".join(str(c) for c in record["clusters"]))
         rows.append([record[key] for key in header])
     extra = {"c0": args.c0, "seeds": args.seeds}
-    return Report("bounds.json", doc, {"bounds.tsv": (header, rows)}, extra)
+    return Report("bounds.json", doc, {"bounds.tsv": (header, rows)}, extra=extra)
 
 
 def cmd_compare_centering(args) -> Report:
@@ -457,7 +464,7 @@ def cmd_cluster_compare(args) -> Report:
     ]
     tables = {"comparison.tsv": (("arm", "seed", "ari", "nmi", "accuracy"), rows)}
     extra = {"clusters": k, "neighbors": args.neighbors, "runs": args.runs}
-    return Report("comparison.json", report.to_dict(), tables, extra)
+    return Report("comparison.json", report.to_dict(), tables, extra=extra)
 
 
 def cmd_sweep_pcs(args) -> Report:
@@ -479,7 +486,7 @@ def cmd_sweep_pcs(args) -> Report:
     doc = {"grid": sweep.rows, **_pair_fields(args, sweep.pair_count, sweep.recomputed)}
     header = ("pcs", "intra_ratio_avg", "inter_ratio_avg", "gap")
     tables = {"sweep.tsv": (header, [[r[key] for key in header] for r in sweep.rows])}
-    return Report("sweep.json", doc, tables, {"grid": grid, "fit": _fit_record(full)})
+    return Report("sweep.json", doc, tables, extra={"grid": grid, "fit": _fit_record(full)})
 
 
 def cmd_calibrate_c0(args) -> Report:
@@ -492,7 +499,7 @@ def cmd_calibrate_c0(args) -> Report:
     print(f"{calibration.value!r}")
     rows = [[s, r] for s, r in zip(seeds, calibration.ratios)] + [["c0", calibration.value]]
     doc = {"c0": calibration.value, "ratios": list(calibration.ratios)}
-    return Report("c0.json", doc, {"c0.tsv": (("seed", "ratio"), rows)}, {"seeds": args.seeds})
+    return Report("c0.json", doc, {"c0.tsv": (("seed", "ratio"), rows)}, extra={"seeds": args.seeds})
 
 
 COMMANDS = {

@@ -16,7 +16,8 @@ than points (n > d, as after projection) store each center as
 coordinates and read x·μ from X Cᵀ. Points with at least as many
 coordinates as points (n <= d, and n² within ``linalg._DENSIFY_BUDGET``,
 as for the raw columns of a wide matrix) take the Gram form of kernel
-k-means (Dhillon, Guan & Kulis 2004): K = XXᵀ is formed once per call,
+k-means (Dhillon, Guan & Kulis 2004): K = XXᵀ is formed once per
+:class:`KMeansPoints`, so once for any number of seeds,
 each center is stored as weights b over the points (member/size for a
 mean, eᵢ for a seed or a reseeded point), x·μ is read from (K Bᵀ) and
 ‖μ‖² from bᵀKb, so an iteration is one dense n x n product. The forms
@@ -38,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import InputError, NumericalError
 from .linalg import (
@@ -180,26 +180,39 @@ def _lloyd(form, k, rng):
     return labels, inertia
 
 
+class KMeansPoints:
+    """Points set up once for any number of :func:`kmeans` calls.
+
+    ``points`` holds one point per row, dense or sparse. They are checked
+    and scaled here, and the iteration's form is chosen (see the module
+    docstring), so the Gram form's K is formed once, however many seeds
+    run on the points.
+    """
+
+    def __init__(self, points):
+        X, self.scale = _scaled(checked_matrix(points, "csr", "points"))
+        n, self.shape = X.shape[0], X.shape
+        self.form = _GramForm(X) if n <= X.shape[1] and n * n <= _DENSIFY_BUDGET else _PointForm(X)
+
+
 def kmeans(points, k: int, seed: int = 0) -> Labeling:
     """Lloyd's algorithm with k-means++ seeding, best of ``_RESTARTS``.
 
-    ``points`` holds one point per row, dense or sparse. Inertia is
-    checked to be non-increasing on every iteration. The module
-    docstring says which form of the iteration runs when.
+    ``points`` holds one point per row, dense or sparse, or is a
+    :class:`KMeansPoints` set up from them. Inertia is checked to be
+    non-increasing on every iteration.
     """
-    X = checked_matrix(points, "csr", "points")
-    n = X.shape[0]
+    prepared = points if isinstance(points, KMeansPoints) else KMeansPoints(points)
+    n = prepared.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n={n}, got k={k}")
-    X, scale = _scaled(X)
-    form = _GramForm(X) if n <= X.shape[1] and n * n <= _DENSIFY_BUDGET else _PointForm(X)
     best_labels, best_inertia = None, math.inf
     for restart in range(_RESTARTS):
         rng = np.random.Generator(np.random.Philox(key=[seed, restart]))
-        labels, inertia = _lloyd(form, k, rng)
+        labels, inertia = _lloyd(prepared.form, k, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
-    return Labeling(best_labels, k, inertia=best_inertia / scale / scale)
+    return Labeling(best_labels, k, inertia=best_inertia / prepared.scale / prepared.scale)
 
 
 class NeighborGraph:
@@ -228,23 +241,9 @@ class NeighborGraph:
             raise InputError(f"edge {u[0]}-{v[0]} is not symmetric")
         self.n, self.adjacency = n, W
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "NeighborGraph":
-        """Nodes 0 .. n-1 joined by each listed pair (u, v); a repeated pair counts once."""
-        u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-        W = sp.csr_array((np.ones(len(u)), (u, v)), shape=(n, n))
-        return cls(W.maximum(W.T))
-
-    @property
-    def edge_count(self) -> int:
-        return self.adjacency.nnz // 2
-
     def neighbors(self, u: int) -> np.ndarray:
         """Node u's neighbors, ascending."""
         return self.adjacency.indices[slice(*self.adjacency.indptr[u : u + 2])]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
 
 
 def knn_graph(points, m: int = 20) -> NeighborGraph:
@@ -420,14 +419,55 @@ def nmi(a, b) -> float:
     return float(mi / ((ha + hb) / 2.0))
 
 
+def _max_matching(weights: np.ndarray):
+    """``(rows, cols)``: a one-to-one matching of rows to columns of greatest total weight.
+
+    Every row of a table with no more rows than columns is matched (the
+    Hungarian method by shortest augmenting paths, with row and column
+    potentials; Kuhn 1955, Jonker & Volgenant 1987); a taller table is
+    matched through its transpose. Equal totals resolve to the first
+    column found, a pure function of the table.
+    """
+    if weights.shape[0] > weights.shape[1]:
+        cols, rows = _max_matching(weights.T)
+        order = np.argsort(rows)
+        return rows[order], cols[order]
+    cost = -np.asarray(weights, dtype=np.float64)
+    r, c = cost.shape
+    u, v = np.zeros(r), np.zeros(c + 1)
+    # owner[j] is the row matched to column j - 1; column 0 is the path's root
+    owner = np.full(c + 1, -1)
+    for row in range(r):
+        owner[0], j0 = row, 0
+        slack, via = np.full(c + 1, np.inf), np.zeros(c + 1, dtype=np.int64)
+        used = np.zeros(c + 1, dtype=bool)
+        while owner[j0] != -1:
+            used[j0] = True
+            i0, free = owner[j0], np.flatnonzero(~used)
+            reduced = cost[i0, free - 1] - u[i0] - v[free]
+            better = reduced < slack[free]
+            slack[free[better]], via[free[better]] = reduced[better], j0
+            j1 = free[np.argmin(slack[free])]
+            delta = slack[j1]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            j0 = j1
+        while j0:  # flip the augmenting path back to the root
+            owner[j0] = owner[via[j0]]
+            j0 = via[j0]
+    cols = np.flatnonzero(owner[1:] != -1)
+    rows = owner[1:][cols]
+    order = np.argsort(rows)
+    return rows[order], cols[order]
+
+
 def best_match_accuracy(a, b) -> float:
     """Accuracy under the best one-to-one cluster matching."""
     a, b = _labels_of(a), _labels_of(b)
     _check_same_length(a, b)
     table = _contingency(a, b)
-    # adding 1 stores every cell, so a full matching exists, and it adds
-    # min(table.shape) to every full matching's total alike
-    rows, cols = min_weight_full_bipartite_matching(sp.csr_array(table + 1), maximize=True)
+    rows, cols = _max_matching(table)
     return float(table[rows, cols].sum() / len(a))
 
 
@@ -507,8 +547,9 @@ def pipeline_compare(
         )
 
     arms: Dict[str, List[ArmResult]] = {name: [] for name in ARM_NAMES}
+    raw, reduced = KMeansPoints(A.values.T), KMeansPoints(projected)
     for seed in seed_list:
-        arms["kmeans-raw"].append(score(seed, kmeans(A.values.T, k, seed=seed)))
-        arms["kmeans-pca"].append(score(seed, kmeans(projected, k, seed=seed)))
+        arms["kmeans-raw"].append(score(seed, kmeans(raw, k, seed=seed)))
+        arms["kmeans-pca"].append(score(seed, kmeans(reduced, k, seed=seed)))
         arms["graph-pca"].append(score(seed, graph_labels))
     return ComparisonReport(arms=arms, k=k, kprime=kprime, neighbors=neighbors)

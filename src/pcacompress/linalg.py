@@ -7,12 +7,13 @@ copy would take 8 bytes per entry). This is the one module that tells
 the kinds apart. The rest of the library reads storage through its
 primitives (:func:`checked_matrix`, :func:`stored`, :func:`as_dense`,
 :func:`squared_norms`, :func:`product`) and its Gram products
-(:func:`centered_gram`, and the pair engine's tiles from
-:func:`gram_rows`). Bits are read in float64 blocks of at most
+(:func:`centered_gram`, the pair engine's tiles from :func:`gram_rows`,
+and :func:`gram_block` of projected coordinates). Bits are read in float64 blocks of at most
 ``_BLOCK_ENTRIES`` entries: :func:`product` sums over n in row blocks
 and over d in column blocks, :func:`centered_gram` and
 :func:`gram_rows` center row blocks, and :func:`as_dense` (which the
-dense driver reads) and :func:`spectral_norm` convert to float64. Sums of
+dense driver reads) and :func:`spectral_norm` convert to float64, and a
+Gram fit's own blocks center row or column blocks. Sums of
 0/1 entries are exact integers, so :func:`centered_gram`,
 :meth:`DataMatrix.row_means` and :func:`squared_norms` give the same
 bits as on a float64 copy.
@@ -22,22 +23,37 @@ Projections here are always onto top left singular vectors; "uncentered"
 fits use the raw matrix, "centered" fits subtract the column mean
 implicitly so sparse inputs are never densified by centering.
 
-Every fit follows one policy, with no caller-chosen driver. A problem
-with ``min(d, n)`` up to ``_DENSE_CUTOFF`` whose input is dense, or
-sparse with at most ``_DENSIFY_BUDGET`` cells, gets an exact dense
-LAPACK factorization. Every other fit runs one of two drivers:
+Every fit follows one policy, with no caller-chosen driver, in three
+size regimes of ``m = min(d, n)``:
 
-- ``gram``, when the caller holds the n x n centered Gram matrix of the
-  columns (as :func:`centered_gram` returns it) and the fit is
-  uncentered: the top k'+1 eigenpairs of the uncentered Gram matrix,
-  derived from it, give V and S, and U = A V S^-1 (Halko, Martinsson &
-  Tropp 2011, section 5.1). It is kept only when each kept component's
-  a-posteriori residual ``||A^T u_i - s_i v_i|| / s_1`` is at most
-  ``RESIDUAL_RTOL`` (ibid., sections 4.3-4.4), and the projector
-  records that residual;
-- otherwise ``lanczos``: an exact ARPACK solve
-  (``scipy.sparse.linalg.svds``) on the implicit operator, or ``dense``
-  when ARPACK has no room for k'+1 triplets.
+- ``dense``, for m up to ``_DENSE_CUTOFF`` when the input is dense, or
+  sparse with at most ``_DENSIFY_BUDGET`` cells: an exact SVD by
+  numpy's LAPACK;
+- ``gram``, a certified Gram fit. With the caller's n x n centered Gram
+  matrix of the columns (as :func:`centered_gram` returns it, for an
+  uncentered fit), whatever m: the top k'+1 eigenpairs of the
+  uncentered Gram matrix derived from it, by scipy's subset ``eigh``.
+  Otherwise for m up to ``_GRAM_CUTOFF``: the Gram matrix of the smaller
+  side, formed from dense centered blocks (scaled by :func:`range_scale`),
+  solved whole by numpy's ``eigh``. The eigenvectors are one side's
+  singular vectors, and A applied to them over S gives the other's (Halko,
+  Martinsson & Tropp 2011, section 5.1). The fit is kept only when each
+  kept component's a-posteriori residual, ``||A^T u_i - s_i v_i|| / s_1``
+  or ``||A v_i - s_i u_i|| / s_1`` for the side not read off G, is at
+  most ``RESIDUAL_RTOL`` (ibid., sections 4.3-4.4), and the projector
+  records that residual. That bounds errors relative to s_1: a component
+  far below s_1 keeps fewer digits than Lanczos would give it;
+- otherwise, or when the Gram fit is not certified, ``lanczos``: an exact
+  ARPACK solve (``scipy.sparse.linalg.svds``) on the implicit operator,
+  or ``dense`` when ARPACK has no room for k'+1 triplets.
+
+``_GRAM_CUTOFF`` is measured (README); a Gram fit holds about 4 m^2
+doubles. scipy's linear algebra loads only inside Lanczos and the
+routines of the bound commands (the ``dsyrk`` of :func:`centered_gram`,
+the subset ``eigh`` of a caller's G, :func:`top_eigenvalue`): numpy has
+no symmetric rank-k update and no subset eigensolver, and its full
+``eigh`` there measured slower and larger. Every other fit maps numpy's
+BLAS alone.
 
 Lanczos is the one iterative driver: the cut k' a report asks about lies
 past the spiked components, in the flat noise bulk, where a range
@@ -51,10 +67,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import InputError
 
@@ -68,6 +81,10 @@ RESIDUAL_RTOL = 1e-8
 
 # Largest min(d, n) that gets the exact dense driver.
 _DENSE_CUTOFF = 500
+
+# Largest min(d, n) whose fit forms its smaller side's Gram matrix
+# before Lanczos is tried.
+_GRAM_CUTOFF = 1000
 
 # Budget (entry count) under which a sparse matrix may be densified for
 # the exact dense driver; beyond it the certified drivers run instead.
@@ -94,7 +111,7 @@ def stored(M):
 
 
 def as_dense(M) -> np.ndarray:
-    """M as a float64 ndarray (scipy's SVD would turn bits into float32)."""
+    """M as a float64 ndarray, the form LAPACK reads (bits are not float64)."""
     return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
 
 
@@ -343,9 +360,8 @@ def _complete_orthonormal(U: np.ndarray, d: int, total: int, seed: int) -> np.nd
 
 def _row_sliceable(M):
     """``(R, mean)``: M as a dense or CSR array, whose row slices are cheap, and M's mean column."""
-    sparse = sp.issparse(M)
     # row slices of CSR are cheap, of CSC they cost a pass over all entries
-    R = sp.csr_array(M) if sparse and M.format != "csr" else M
+    R = sp.csr_array(M) if sp.issparse(M) and M.format != "csr" else M
     return R, np.asarray(M.mean(axis=1)).reshape(M.shape[0])
 
 
@@ -392,12 +408,14 @@ def centered_gram(M):
     shared by every column out of G, where it would cancel in any
     distance or noise identity read off G.
     """
+    from scipy.linalg.blas import dsyrk
+
     n = M.shape[1]
     R, mean = _row_sliceable(M)
     G = np.zeros((n, n), order="F")
     for block in _centered_row_blocks(R, mean):
         # G's upper triangle += block^T block, in place: no n x n temporary per block
-        G = scipy.linalg.blas.dsyrk(1.0, block, trans=1, beta=1.0, c=G, overwrite_c=True)
+        G = dsyrk(1.0, block, trans=1, beta=1.0, c=G, overwrite_c=True)
         del block  # freed before the next block is formed
     G += np.triu(G, 1).T
     return G, mean
@@ -428,56 +446,110 @@ def gram_rows(M, G: Optional[np.ndarray], depth: int):
         del block  # freed before the next block is formed
 
     def rows(a, b):
-        out = np.zeros((b - a, n - a), order="F")
+        out = np.zeros((b - a, n - a))
         for block in _centered_row_blocks(R, mean, a, depth):
-            # out += block[:, :b-a]^T block, in place
-            out = scipy.linalg.blas.dgemm(
-                1.0, block[:, : b - a], block, beta=1.0, c=out, trans_a=1, overwrite_c=1
-            )
+            out += block[:, : b - a].T @ block
             del block
         return out
 
     return g, rows
 
 
-def _gram_factors(op: _Operator, G: np.ndarray, top: Optional[int] = None):
-    """Singular triplets of op from its n x n Gram matrix G: all, or the ``top`` largest.
+def gram_block(Y: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows a:b and columns a: of ``Y^T Y`` for a dense Y, by one matrix product."""
+    return Y[:, a:b].T @ Y[:, a:]
 
-    V and S come from the eigenpairs of G, and U = A V S^-1 for every
-    singular value above 1e-12 s_1; U is completed to orthonormal columns
-    past those. Squares the condition number, so the result is exact only
-    where the kept singular values are far from roundoff; :func:`_fit`
-    certifies it.
+
+def _side_gram(op: _Operator) -> np.ndarray:
+    """The Gram matrix of op's smaller side, summed from dense centered blocks.
+
+    ``A^T A`` (n x n) over row blocks when n <= d, else ``A A^T`` (d x d)
+    over column blocks, each block of at most ``_BLOCK_ENTRIES`` entries
+    and centered by op's mean on its own, so no centered copy of A is held.
+    An uncentered sparse A with fewer than ``DENSE_GRAM_DENSITY`` of its
+    entries stored takes one sparse product instead.
     """
-    m = G.shape[0]
-    subset = None if top is None else [m - top, m - 1]
-    w, V = scipy.linalg.eigh(G, subset_by_index=subset)
+    M, (d, n) = op.values, op.shape
+    if op.mean is None and sp.issparse(M) and M.nnz < DENSE_GRAM_DENSITY * d * n:
+        # as in :func:`gram_rows`, a sparser M keeps the sparse product
+        small = M if n <= d else M.T
+        return as_dense(small.T @ small)
+    mean = np.zeros(d) if op.mean is None else op.mean
+    G = np.zeros((min(d, n),) * 2)
+    if n <= d:
+        for block in _centered_row_blocks(_row_sliceable(M)[0], mean):
+            G += block.T @ block
+            del block  # freed before the next block is formed
+        return G
+    step = max(1, _BLOCK_ENTRIES // d)
+    for start in range(0, n, step):
+        part = M[:, start : start + step]
+        block = np.subtract(part if _is_bits(part) else as_dense(part), mean[:, None])
+        G += block @ block.T
+        del block
+    return G
+
+
+def _gram_fit(op: _Operator, k: int, G: Optional[np.ndarray] = None):
+    """``(U, s, residual)``: the top k'+1 singular triplets of op read off a Gram matrix.
+
+    G is the caller's n x n Gram matrix of op's columns; its top
+    eigenpairs come from LAPACK's subset solver in scipy. Without G, op's
+    smaller side forms its own (:func:`_side_gram`), and numpy's ``eigh``
+    solves it whole. The eigenvectors are one side's singular vectors,
+    and the other side's are op applied to them over S, for every
+    singular value above 1e-12 s_1, completed to orthonormal columns past
+    those. Squares the condition number, so the result is exact only
+    where the kept singular values are far from roundoff: ``residual`` is
+    the largest relative residual of the other side's kept vectors, which
+    :func:`_fit` certifies.
+    """
+    d, n = op.shape
+    # the eigenvectors' side: V when they come from A^T A, else U
+    columns = G is not None or n <= d
+    forward, adjoint = (op.matmat, op.rmatmat) if columns else (op.rmatmat, op.matmat)
+    if G is None:
+        G = _side_gram(op)
+        top = min(k + 1, len(G))
+        w, E = np.linalg.eigh(G)
+        w, E = w[-top:], E[:, -top:]
+    else:
+        from scipy.linalg import eigh
+
+        top = min(k + 1, n)
+        w, E = eigh(G, subset_by_index=[n - top, n - 1])
+    del G
     order = np.argsort(w)[::-1]
     s = np.sqrt(np.clip(w[order], 0.0, None))
-    V = V[:, order]
+    E = E[:, order]
     rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
-    U = op.matmat(V[:, :rank])
-    U /= s[:rank]
-    return _complete_orthonormal(U, op.shape[0], len(s), seed=17), s, V
+    F = forward(E[:, :rank])
+    F /= s[:rank]
+    F = _complete_orthonormal(F, len(F), len(s), seed=17)
+    residual = _residual(adjoint(F[:, :k]) - E[:, :k] * s[:k], s)
+    return (F if columns else E), s, residual
 
 
 def _dense_svd(op: _Operator):
     values = as_dense(op.values)
     if op.mean is not None:
         values = values - op.mean[:, None]
-    U, s, _ = scipy.linalg.svd(values, full_matrices=False)
+    U, s, _ = np.linalg.svd(values, full_matrices=False)
     return U, s
 
 
 def _residual(block: np.ndarray, s: np.ndarray) -> float:
     """Largest column norm of a residual block, relative to s_1.
 
-    The block is ``A^T U - V S`` of Gram output over the kept triplets;
-    ``A V - U S`` is zero by construction, so it certifies nothing. Only
-    a zero matrix has s_1 = 0, and its residual is 0.
+    The block is ``A^T U - V S`` of a Gram fit over the kept triplets,
+    with V the eigenvectors (or ``A V - U S`` with U the eigenvectors);
+    the other product is zero by construction, so it certifies nothing.
+    Only a Gram matrix of a zero matrix has s_1 = 0; its residual is 0,
+    whatever roundoff an implicitly centered operator leaves in the block.
     """
-    top = float(np.linalg.norm(block, axis=0).max())
-    return top / float(s[0]) if top else 0.0
+    if not s[0]:
+        return 0.0
+    return float(np.linalg.norm(block, axis=0).max()) / float(s[0])
 
 
 def _is_zero(op: _Operator) -> bool:
@@ -489,23 +561,31 @@ def _is_zero(op: _Operator) -> bool:
     return bool(((as_dense(M.min(axis=1)) == mean) & (as_dense(M.max(axis=1)) == mean)).all())
 
 
+def _scaled(op: _Operator):
+    """``(op, scale)``: op times :func:`range_scale`'s power of two, op itself when that is 1.
+
+    A^T A's entries leave float64 at either end of its range; the scaled
+    operator's singular values are divided by ``scale`` to give op's.
+    """
+    scale = range_scale(op.values)
+    if scale != 1.0:
+        op = _Operator(op.values * scale, None if op.mean is None else op.mean * scale)
+    return op, scale
+
+
 def _lanczos_svd(op: _Operator, k: int, seed: int):
-    """Top k+1 singular triplets by ARPACK on the implicit operator.
+    """Top k+1 singular triplets by ARPACK on the implicit (scaled) operator.
 
     The extra triplet supplies ``s_{k'+1}`` for the gap check; ARPACK
     needs ``k + 1 < min(d, n)``. It cannot start on a zero operator,
     whose singular values are all 0 and any orthonormal U its left
-    singular vectors. ARPACK iterates on ``A^T A``, whose entries leave
-    float64 at either end of its range, so an operator whose largest
-    entry lies outside :func:`range_scale`'s range is scaled by an exact
-    power of two, and its singular values scaled back.
+    singular vectors.
     """
+    import scipy.sparse.linalg
+
     if _is_zero(op):
         d = op.shape[0]
         return _complete_orthonormal(np.empty((d, 0)), d, k + 1, seed=17), np.zeros(k + 1)
-    scale = range_scale(op.values)
-    if scale != 1.0:
-        op = _Operator(op.values * scale, None if op.mean is None else op.mean * scale)
     linear = scipy.sparse.linalg.LinearOperator(
         op.shape,
         matvec=lambda x: op.matmat(x.reshape(-1, 1)).ravel(),
@@ -518,7 +598,7 @@ def _lanczos_svd(op: _Operator, k: int, seed: int):
     v0 = rng.standard_normal(min(op.shape))
     U, s, _ = scipy.sparse.linalg.svds(linear, k=k + 1, v0=v0)
     order = np.argsort(s)[::-1]
-    return U[:, order], s[order] / scale
+    return U[:, order], s[order]
 
 
 def _uncentered_gram(M, G: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -532,22 +612,29 @@ def _uncentered_gram(M, G: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 def _fit(A: DataMatrix, k: int, seed: int, mean=None, gram=None) -> Projector:
     d, n = A.d, A.n
-    if not 1 <= k <= min(d, n):
+    m = min(d, n)
+    if not 1 <= k <= m:
         raise InputError(f"k'={k} out of range for a {d}x{n} matrix")
     op = _Operator(A.values, mean)
     driver, residual = "dense", None
-    if min(d, n) > _DENSE_CUTOFF or (A.is_sparse and d * n > _DENSIFY_BUDGET):
+    if m > _DENSE_CUTOFF or (A.is_sparse and d * n > _DENSIFY_BUDGET):
         if gram is not None:
-            U, s, V = _gram_factors(op, _uncentered_gram(A.values, *gram), min(k + 1, n))
-            driver, residual = "gram", _residual(op.rmatmat(U[:, :k]) - V[:, :k] * s[:k], s)
+            U, s, residual = _gram_fit(op, k, _uncentered_gram(A.values, *gram))
+        elif m <= _GRAM_CUTOFF:
+            scaled, scale = _scaled(op)
+            U, s, residual = _gram_fit(scaled, k)
+            s = s / scale
+        driver = "gram"
         if residual is None or residual > RESIDUAL_RTOL:
             # ARPACK cannot return min(d, n) triplets
-            driver = "lanczos" if k + 1 < min(d, n) else "dense"
+            driver = "lanczos" if k + 1 < m else "dense"
             residual = None
     if driver == "dense":
         U, s = _dense_svd(op)
     elif driver == "lanczos":
-        U, s = _lanczos_svd(op, k, seed)
+        scaled, scale = _scaled(op)
+        U, s = _lanczos_svd(scaled, k, seed)
+        s = s / scale
     s_next = s[k] if k < len(s) else None
     warn = s_next is not None and (s[k - 1] - s_next) <= GAP_RTOL * s[0]
     U = _apply_sign_convention(U[:, :k].copy())
@@ -587,16 +674,6 @@ def fit_centered_pca(A: DataMatrix, k: int, seed: int = 0) -> Projector:
     return _fit(A, k, seed, mean=A.row_means())
 
 
-def project(P: Projector, u: np.ndarray) -> np.ndarray:
-    """Project one d-vector (or a d x m stack of them) to k' coordinates."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape[0] != P.d:
-        raise InputError(f"vector has length {u.shape[0]}, projector wants {P.d}")
-    if P.centered:
-        u = u - (P.mean_vector if u.ndim == 1 else P.mean_vector[:, None])
-    return P.components @ u
-
-
 def project_columns(P: Projector, A: DataMatrix) -> np.ndarray:
     """All columns of A in projected coordinates, as a k' x n array."""
     if A.d != P.d:
@@ -627,8 +704,10 @@ def spectral_norm(M) -> float:
 
 def top_eigenvalue(G: np.ndarray) -> float:
     """Largest eigenvalue of a dense symmetric matrix."""
+    from scipy.linalg import eigh
+
     m = G.shape[0]
-    return float(scipy.linalg.eigh(G, subset_by_index=[m - 1, m - 1], eigvals_only=True)[0])
+    return float(eigh(G, subset_by_index=[m - 1, m - 1], eigvals_only=True)[0])
 
 
 def principal_angle(P: Projector, Q: Projector) -> float:
@@ -641,5 +720,5 @@ def principal_angle(P: Projector, Q: Projector) -> float:
     if P.d != Q.d or P.k != Q.k:
         raise InputError("projectors must share d and k' for an angle")
     residual = P.components.T - Q.components.T @ (Q.components @ P.components.T)
-    top = scipy.linalg.svd(residual, compute_uv=False)[0]
+    top = np.linalg.svd(residual, compute_uv=False)[0]
     return float(np.clip(top, 0.0, 1.0))

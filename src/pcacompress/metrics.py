@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import (
-    _BLOCK_ENTRIES, DataMatrix, Projector, fit_centered_pca, fit_uncentered_pca, gram_rows,
-    project_columns, range_scale, stored,
+    _BLOCK_ENTRIES, DataMatrix, Projector, fit_centered_pca, fit_uncentered_pca, gram_block,
+    gram_rows, product, project_columns, range_scale, stored,
 )
 
 DEGENERATE_RTOL = 1e-12
@@ -177,7 +177,7 @@ def _exact_parts(M, sides, G):
             for Y, Yc, widths, norms in centered:
                 block, done = 0.0, 0
                 for w, gw in zip(widths, norms):
-                    block = block + Yc[done:w, r0:r1].T @ Yc[done:w, r0:]
+                    block = block + gram_block(Yc[done:w], r0, r1)
                     done = w
                     posts.append(_gram_distances(block, gw, upper, i, j, Y[:w])[0])
             yield i, j, pre, posts, recomputed
@@ -597,7 +597,7 @@ def centering_comparison(A: DataMatrix, k: int, seed: int = 0) -> CenteringRepor
     # float64 at either end of its range
     mean *= range_scale(mean)
     norm = np.linalg.norm(mean)
-    cosine = None if norm == 0 else float(abs(unc.components[0] @ mean) / norm)
+    cosine = None if norm == 0 else float(abs(product(unc.components[:1], mean)[0]) / norm)
     if A.labels is None:
         return CenteringReport(cosine, None, None, None)
     tables = [ClusterPairTable(A.labels) for _ in range(2)]

@@ -230,12 +230,6 @@ class RandomVectorModel:
             raise InputError(f"malformed model field: {err}")
 
 
-def save_model(model: RandomVectorModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model.to_dict(), handle)
-        handle.write("\n")
-
-
 def load_model(path) -> RandomVectorModel:
     try:
         with open(path, "r", encoding="utf-8") as handle:

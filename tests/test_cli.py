@@ -330,6 +330,10 @@ class TestReportWriter:
             ["compare-centering", "{ingest}", "--pcs", "2"], "centering.json", "cosine",
             {"centering.tsv": "f591caaa4bcd353dbec695d6ff83efef4ed11ee362db9ef1fe9c988401823659"},
         ),
+        # its table would have no rows, so it is not written
+        "compare-centering-unlabeled": (
+            ["compare-centering", "--matrix", "{matrix}", "--pcs", "2"], "centering.json", "cosine", {},
+        ),
         "cluster-compare": (
             ["cluster-compare", "{ingest}", "--runs", "2"], "comparison.json", "medians",
             {"comparison.tsv": "904fe0d7e3abc3b08afaac44f8728c08b43a62af577108e3a41c00bbfdff1178"},
@@ -527,8 +531,11 @@ class TestAnalyzeOutputs:
         [("zeros.mtx", False), ("zeros.csv", False), ("ones.csv", True)],
         ids=["zero-sparse", "zero-dense", "identical-columns-centered"],
     )
-    def test_zero_operator_past_dense_cutoff_exits_zero(self, tmp_path, name, centered):
-        # a 600 x 700 input takes the Lanczos driver, whose operator is zero here
+    def test_zero_operator_past_dense_cutoff_exits_zero(self, tmp_path, name, centered, monkeypatch):
+        # a 600 x 700 input takes the Gram fit, or Lanczos past a lowered
+        # Gram cutoff, whose operator is zero here
+        from pcacompress import linalg
+
         matrix = tmp_path / name
         if name.endswith(".mtx"):
             matrix.write_text("%%MatrixMarket matrix coordinate real general\n600 700 0\n")
@@ -536,29 +543,38 @@ class TestAnalyzeOutputs:
             np.savetxt(matrix, np.full((600, 700), float(name == "ones.csv")), fmt="%g", delimiter=",")
         out = tmp_path / "out"
         args = ["analyze", "--matrix", str(matrix), "--pcs", "3", "--out-dir", str(out)]
-        assert cli.main(args + ["--centered"] * centered) == 0
-        doc = json.loads((out / "analysis.json").read_text())
-        assert doc["svd_driver"] == "lanczos" and doc["gap_warning"]
-        assert doc["singular_values"] == [0.0, 0.0, 0.0]
-        assert doc["pair_count"] == 700 * 699 // 2 == 244650
-        assert doc["overall"]["excluded"] == doc["pair_count"]
+        for driver in ("gram", "lanczos"):
+            if driver == "lanczos":
+                monkeypatch.setattr(linalg, "_GRAM_CUTOFF", 500)
+            assert cli.main(args + ["--centered"] * centered) == 0
+            doc = json.loads((out / "analysis.json").read_text())
+            assert doc["svd_driver"] == driver and doc["gap_warning"]
+            assert doc["svd_residual"] == (0.0 if driver == "gram" else None)
+            assert doc["singular_values"] == [0.0, 0.0, 0.0]
+            assert doc["pair_count"] == 700 * 699 // 2 == 244650
+            assert doc["overall"]["excluded"] == doc["pair_count"]
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-300, 1e200])
-    def test_lanczos_fit_at_range_ends_exits_zero(self, tmp_path, scale):
-        # a 600 x 700 input takes the Lanczos driver, whose A^T A leaves float64 here
+    def test_lanczos_fit_at_range_ends_exits_zero(self, tmp_path, scale, monkeypatch):
+        # a 600 x 700 input takes the Gram fit, or Lanczos past a lowered
+        # Gram cutoff, and A^T A leaves float64 here
+        from pcacompress import linalg
         from pcacompress.linalg import DataMatrix, fit_uncentered_pca
 
         X = np.random.default_rng(3).standard_normal((600, 700))
         matrix = tmp_path / "scaled.csv"
         np.savetxt(matrix, scale * X, fmt="%.17g", delimiter=",")
         out = tmp_path / "out"
-        assert cli.main(["analyze", "--matrix", str(matrix), "--pcs", "5", "--out-dir", str(out)]) == 0
-        doc = json.loads((out / "analysis.json").read_text())
-        assert doc["svd_driver"] == "lanczos" and doc["overall"]["excluded"] == 0
-        want = fit_uncentered_pca(DataMatrix(X), 5).singular_values
-        np.testing.assert_allclose(doc["singular_values"], scale * want, rtol=1e-12)
+        for driver in ("gram", "lanczos"):
+            if driver == "lanczos":
+                monkeypatch.setattr(linalg, "_GRAM_CUTOFF", 500)
+            assert cli.main(["analyze", "--matrix", str(matrix), "--pcs", "5", "--out-dir", str(out)]) == 0
+            doc = json.loads((out / "analysis.json").read_text())
+            assert doc["svd_driver"] == driver and doc["overall"]["excluded"] == 0
+            want = fit_uncentered_pca(DataMatrix(X), 5).singular_values
+            np.testing.assert_allclose(doc["singular_values"], scale * want, rtol=1e-12)
 
 
 class TestRangeEnds:
@@ -639,6 +655,54 @@ class TestLazyImports:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+class TestOneBlas:
+    """The matrix commands load neither scipy.linalg nor the scipy modules that import it."""
+
+    PROBE = (
+        "import sys\n"
+        "from pcacompress.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg', "
+        "'scipy.sparse.csgraph') if m in sys.modules))\n"
+    )
+
+    def run(self, *args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *map(str, args), "--threads", "1"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    @pytest.mark.parametrize(
+        "model, driver",
+        [(MODEL, "dense"), ({"sbm": {"d": 520, "sizes": [140] * 4, "p": 0.7, "q": 0.3}}, "gram")],
+        ids=["dense-driver", "gram-fit"],
+    )
+    def test_matrix_commands_load_no_scipy_linalg(self, tmp_path, model, driver):
+        from pcacompress import linalg
+
+        # the second model's min(d, n) = 520 lies between the two cutoffs
+        shape = (model["sbm"]["d"], sum(model["sbm"]["sizes"]))
+        assert (driver == "gram") == (linalg._DENSE_CUTOFF < min(shape) <= linalg._GRAM_CUTOFF)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        data = tmp_path / "data"
+        assert self.run("simulate", "--model", path, "--out-dir", data) == "0 []"
+        ingest = ["--matrix", data / "dataset.mtx", "--labels", data / "dataset.labels.txt"]
+        commands = {
+            "analyze": ["--pcs", 5],
+            "sweep-pcs": ["--grid", "2,5"],
+            "compare-centering": ["--pcs", 5],
+            "cluster-compare": ["--runs", 1],
+        }
+        for command, options in commands.items():
+            out = tmp_path / command
+            assert self.run(command, *ingest, *options, "--out-dir", out) == "0 []", command
+        assert json.loads((tmp_path / "analyze" / "analysis.json").read_text())["svd_driver"] == driver
 
 
 class TestRoundTripOracle:

@@ -174,14 +174,24 @@ class TestKmeans:
             kmeans(np.array([[np.nan, 0.0]]), 1)
 
 
+def graph_of(n, edges):
+    """The graph on nodes 0 .. n-1 joined by each listed pair (u, v), built by the constructor."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    W = sp.csr_array((np.ones(len(u)), (u, v)), shape=(n, n))
+    return NeighborGraph(W.maximum(W.T))
+
+
+def edges_of(graph):
+    """The graph's edges as pairs (u, v), u < v."""
+    return {(u, int(v)) for u in range(graph.n) for v in graph.neighbors(u) if u < v}
+
+
 class TestKnnGraph:
     def test_three_collinear_points(self):
         points = np.array([[0.0], [1.0], [3.0]])
         graph = knn_graph(points, m=1)
-        assert graph.has_edge(0, 1)
-        assert graph.has_edge(1, 2)  # forced by 2 choosing its nearest
-        assert not graph.has_edge(0, 2)
-        assert graph.edge_count == 2
+        # (1, 2) is forced by 2 choosing its nearest
+        assert edges_of(graph) == {(0, 1), (1, 2)}
 
     def test_matches_quadratic_oracle(self, monkeypatch):
         # blocks of 17 points, so the last block is a partial one
@@ -209,14 +219,13 @@ class TestKnnGraph:
         rng = np.random.default_rng(4)
         points = rng.uniform(size=(12, 3))
         graph = knn_graph(points, m=11)
-        assert graph.edge_count == 12 * 11 // 2
+        assert len(edges_of(graph)) == 12 * 11 // 2
 
     def test_duplicate_points_tie_to_lower_index(self):
         points = np.array([[0.0], [0.0], [5.0]])
         graph = knn_graph(points, m=1)
-        assert graph.has_edge(0, 1)
-        assert graph.has_edge(0, 2)  # node 2 ties between 0 and 1, picks 0
-        assert not graph.has_edge(1, 2)
+        # node 2 ties between 0 and 1, picks 0
+        assert edges_of(graph) == {(0, 1), (0, 2)}
 
     def test_validation(self):
         points = np.zeros((5, 2))
@@ -250,11 +259,6 @@ class TestNeighborGraph:
         with pytest.raises(InputError, match="out-of-range"):
             NeighborGraph(adjacency([[1, 2], [0]]))
 
-    def test_from_edges(self):
-        graph = NeighborGraph.from_edges(4, [(0, 1), (1, 2), (1, 2)])
-        assert graph.edge_count == 2
-        assert graph.neighbors(3).size == 0
-
 
 def planted_graph(sizes, p, q, seed):
     rng = np.random.default_rng(seed)
@@ -266,7 +270,7 @@ def planted_graph(sizes, p, q, seed):
             prob = p if truth[u] == truth[v] else q
             if rng.random() < prob:
                 edges.append((u, v))
-    return NeighborGraph.from_edges(n, edges), truth
+    return graph_of(n, edges), truth
 
 
 class TestCommunityDetect:
@@ -274,18 +278,18 @@ class TestCommunityDetect:
         edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         edges += [(u, v) for u in range(5, 10) for v in range(u + 1, 10)]
         edges.append((0, 5))
-        graph = NeighborGraph.from_edges(10, edges)
+        graph = graph_of(10, edges)
         result = community_detect(graph)
         assert result.k == 2
         assert ari(result, np.repeat([0, 1], 5)) == 1.0
 
     def test_complete_graph_single_community(self):
         edges = [(u, v) for u in range(8) for v in range(u + 1, 8)]
-        result = community_detect(NeighborGraph.from_edges(8, edges))
+        result = community_detect(graph_of(8, edges))
         assert result.k == 1
 
     def test_edgeless_graph_all_singletons(self):
-        result = community_detect(NeighborGraph.from_edges(4, []))
+        result = community_detect(graph_of(4, []))
         assert result.k == 4
         np.testing.assert_array_equal(result.labels, np.arange(4))
 
@@ -293,7 +297,7 @@ class TestCommunityDetect:
         # node 0 bridges two mirror-image triangles, so joining the
         # community of node 1 or of node 4 gains exactly the same
         edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (0, 1), (0, 4)]
-        result = community_detect(NeighborGraph.from_edges(7, edges))
+        result = community_detect(graph_of(7, edges))
         np.testing.assert_array_equal(result.labels, [0, 0, 0, 0, 1, 1, 1])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -379,6 +383,21 @@ class TestAgreementMetrics:
         assert best_match_accuracy(a, b) == best / 40
         assert best_match_accuracy(b, a) == best / 40
 
+    def test_matching_matches_csgraph_oracle(self):
+        # random rectangular tables with ties (few distinct counts) and empty rows
+        from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            rows, cols = rng.integers(1, 9, size=2)
+            table = rng.integers(0, rng.integers(1, 5), size=(rows, cols))
+            table[rng.random(rows) < 0.3] = 0
+            r, c = cluster._max_matching(table)
+            assert len(r) == len(set(r.tolist())) == min(rows, cols) == len(set(c.tolist()))
+            # adding 1 stores every cell, so csgraph finds a full matching
+            want_r, want_c = min_weight_full_bipartite_matching(sp.csr_array(table + 1), maximize=True)
+            assert table[r, c].sum() == table[want_r, want_c].sum()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetry_and_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
@@ -404,6 +423,19 @@ class TestPipelineCompare:
             for r in results:
                 assert r.ari == 1.0, arm
                 assert r.accuracy == 1.0, arm
+
+    def test_raw_gram_matrix_formed_once_per_call(self, monkeypatch):
+        model = sbm_rectangular(80, [20, 20], p=0.9, q=0.1)
+        A = generate_dataset(model, seed=1)
+        formed, real = [], cluster._GramForm.__init__
+
+        def spy(self, X):
+            formed.append(X.shape)
+            real(self, X)
+
+        monkeypatch.setattr(cluster._GramForm, "__init__", spy)
+        pipeline_compare(A, k=2, kprime=2, seeds=3, neighbors=6)
+        assert formed == [(40, 80)]  # the raw arm's 40 points, for all three seeds
 
     def test_labels_required(self):
         X = np.random.default_rng(0).uniform(size=(10, 12))

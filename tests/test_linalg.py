@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from pcacompress import linalg as la
 from pcacompress.errors import InputError
@@ -145,6 +146,7 @@ class TestTruncatedSvd:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_lanczos_driver_on_spiked_input(self, monkeypatch, seed):
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
+        monkeypatch.setattr(la, "_GRAM_CUTOFF", 100)
         M = spiked_matrix(150, 700, rank=6, noise=1e-4, seed=seed)
         A = la.DataMatrix(M)
         P = la.truncated_svd(A, 6, seed)
@@ -155,7 +157,7 @@ class TestTruncatedSvd:
 
     def test_auto_driver_exact_on_gapless_input(self):
         # Pure noise above the dense cutoff: a flat spectrum, which the
-        # Lanczos fit resolves exactly.
+        # certified Gram fit resolves exactly.
         M = np.random.default_rng(7).standard_normal((600, 600))
         A = la.DataMatrix(M)
         P = la.truncated_svd(A, 20)
@@ -165,18 +167,19 @@ class TestTruncatedSvd:
         again = la.truncated_svd(A, 20)
         assert P.components.tobytes() == again.components.tobytes()
         assert P.singular_values.tobytes() == again.singular_values.tobytes()
-        assert P.driver == "lanczos"
+        assert P.driver == "gram" and P.residual <= la.RESIDUAL_RTOL
 
     def test_auto_driver_exact_on_spiked_input(self):
         M = spiked_matrix(600, 600, rank=6, noise=1e-4, seed=3)
         P = la.truncated_svd(la.DataMatrix(M), 6)
-        assert P.driver == "lanczos" and P.residual is None
+        assert P.driver == "gram" and P.residual <= la.RESIDUAL_RTOL
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:6], rtol=1e-8)
 
     def test_uncertified_fit_without_lanczos_room_goes_dense(self, monkeypatch):
         # ARPACK cannot return k'+1 = min(d, n) triplets
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 5)
+        monkeypatch.setattr(la, "_GRAM_CUTOFF", 5)
         M = np.random.default_rng(4).standard_normal((30, 20))
         P = la.truncated_svd(la.DataMatrix(M), 19)
         assert P.driver == "dense"
@@ -185,6 +188,7 @@ class TestTruncatedSvd:
 
     def test_sparse_past_densify_budget_without_lanczos_room_goes_dense(self, monkeypatch):
         monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
+        monkeypatch.setattr(la, "_GRAM_CUTOFF", 0)
         M = np.random.default_rng(4).standard_normal((30, 20))
         P = la.truncated_svd(la.DataMatrix(sp.csc_array(M)), 19)
         assert P.driver == "dense"
@@ -214,7 +218,8 @@ class TestTruncatedSvd:
     )
     def test_zero_operator_never_reaches_arpack(self, monkeypatch, values, centered, zero):
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
-        real_svds, calls = la.scipy.sparse.linalg.svds, []
+        monkeypatch.setattr(la, "_GRAM_CUTOFF", 100)
+        real_svds, calls = scipy.sparse.linalg.svds, []
 
         def arpack(*args, **kwargs):
             if zero:
@@ -222,7 +227,7 @@ class TestTruncatedSvd:
             calls.append(1)
             return real_svds(*args, **kwargs)
 
-        monkeypatch.setattr(la.scipy.sparse.linalg, "svds", arpack)
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", arpack)
         fit = la.fit_centered_pca if centered else la.fit_uncentered_pca
         P, again = (fit(la.DataMatrix(values), 3) for _ in range(2))
         assert P.driver == "lanczos" and P.residual is None
@@ -257,13 +262,17 @@ class TestTruncatedSvd:
 
 
 class TestGramSvd:
-    """A sparse input too large to densify takes the certified drivers, not a Gram shortcut."""
+    """A sparse input too large to densify takes the certified drivers: a Gram fit
+    up to ``_GRAM_CUTOFF``, Lanczos past it (here, with the cutoff at 0)."""
 
-    def fit_oracle(self, monkeypatch, M, k, centered):
+    def fit_oracle(self, monkeypatch, M, k, centered, driver):
         monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
+        if driver == "lanczos":
+            monkeypatch.setattr(la, "_GRAM_CUTOFF", 0)
         fit = la.fit_centered_pca if centered else la.fit_uncentered_pca
         P = fit(la.DataMatrix(sp.csc_array(M)), k)
-        assert P.driver == "lanczos" and P.residual is None
+        assert P.driver == driver
+        assert P.residual is None if driver == "lanczos" else P.residual <= la.RESIDUAL_RTOL
         if centered:
             M = M - M.mean(axis=1, keepdims=True)
         U, s, _ = scipy.linalg.svd(M, full_matrices=False)
@@ -277,12 +286,14 @@ class TestGramSvd:
         d, n = shape
         M = spiked_matrix(d, n, rank=4, noise=1e-3, seed=5)
         M *= np.random.default_rng(6).random((d, n)) < 0.4
-        self.fit_oracle(monkeypatch, M, 4, centered)
+        for driver in ("gram", "lanczos"):
+            self.fit_oracle(monkeypatch, M, 4, centered, driver)
 
     @pytest.mark.parametrize("shape", [(400, 120), (120, 400)], ids=["tall", "wide"])
     def test_ill_conditioned_input_keeps_full_precision(self, monkeypatch, shape):
         # singular values 1e4 down to 0.1 over a 1e-3 floor: squaring the
-        # condition number in a Gram product costs s_1..s_6 about 3e-8
+        # condition number in a Gram product costs s_1..s_6 about 3e-8, within
+        # the Gram fit's certificate (relative to s_1), so Lanczos keeps them
         d, n = shape
         r = min(d, n)
         rng = np.random.default_rng(14)
@@ -291,7 +302,7 @@ class TestGramSvd:
         spectrum = np.full(r, 1e-3)
         spectrum[:6] = [1e4, 1e3, 1e2, 10.0, 1.0, 0.1]
         M = left @ (spectrum[:, None] * right.T)
-        self.fit_oracle(monkeypatch, M, 6, centered=False)
+        self.fit_oracle(monkeypatch, M, 6, centered=False, driver="lanczos")
 
 
 class TestGramFit:
@@ -308,7 +319,7 @@ class TestGramFit:
         assert la.principal_angle(P, la.Projector(U[:, :3].T, s[:3])) <= 1e-8
         assert not P.gap_warning
         without = la.fit_uncentered_pca(A, 3)
-        assert without.driver == "lanczos" and without.residual is None
+        assert without.driver == "gram" and without.residual <= la.RESIDUAL_RTOL
         assert la.principal_angle(P, without) <= 1e-8
 
     def test_centered_gram_matches_explicit_centering(self):
@@ -340,15 +351,19 @@ class TestFitResidual:
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
         M = spiked_matrix(400, 150, rank=3, noise=1e-3, seed=15)
         A = la.DataMatrix(M)
+        S = la.DataMatrix(sp.csc_array(M))
         fits = [
             la.fit_uncentered_pca(A, 3, gram=la.centered_gram(M)),
             la.fit_uncentered_pca(A, 3),
             la.fit_centered_pca(A, 3),
-            la.fit_uncentered_pca(la.DataMatrix(sp.csc_array(M)), 3),
+            la.fit_uncentered_pca(S, 3),
         ]
-        assert [P.driver for P in fits] == ["gram", "lanczos", "lanczos", "lanczos"]
-        assert 0.0 < fits[0].residual <= la.RESIDUAL_RTOL
-        assert all(P.residual is None for P in fits[1:])
+        assert [P.driver for P in fits] == ["gram"] * 4
+        assert all(0.0 < P.residual <= la.RESIDUAL_RTOL for P in fits)
+        monkeypatch.setattr(la, "_GRAM_CUTOFF", 100)
+        fits = [la.fit_uncentered_pca(A, 3), la.fit_centered_pca(A, 3), la.fit_uncentered_pca(S, 3)]
+        assert [P.driver for P in fits] == ["lanczos"] * 3
+        assert all(P.residual is None for P in fits)
         zero = np.zeros((150, 120))
         P = la.fit_uncentered_pca(la.DataMatrix(zero), 3, gram=la.centered_gram(zero))
         assert P.driver == "gram" and P.residual == 0.0
@@ -357,6 +372,7 @@ class TestFitResidual:
         M = np.random.default_rng(16).standard_normal((200, 150))
         assert la.truncated_svd(la.DataMatrix(M), 10).residual is None
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
+        monkeypatch.setattr(la, "_GRAM_CUTOFF", 100)
         P = la.truncated_svd(la.DataMatrix(M), 10)
         assert P.driver == "lanczos" and P.residual is None
 
@@ -443,26 +459,27 @@ class TestProject:
     def test_identity_rows_take_leading_coordinates(self):
         P = la.Projector(np.eye(5)[:2], np.array([2.0, 1.0]))
         u = np.arange(5.0)
-        np.testing.assert_allclose(la.project(P, u), [0.0, 1.0])
+        Y = la.project_columns(P, la.DataMatrix(np.column_stack([u, 2 * u])))
+        np.testing.assert_allclose(Y, [[0.0, 0.0], [1.0, 2.0]])
 
     def test_zero_vector(self):
         P = la.Projector(np.eye(4)[:3], np.array([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(la.project(P, np.zeros(4)), np.zeros(3))
+        np.testing.assert_allclose(la.project_columns(P, la.DataMatrix(np.zeros((4, 2)))), np.zeros((3, 2)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_contraction_and_dense_oracle(self, seed):
         rng = np.random.default_rng(seed)
         Q = scipy.linalg.qr(rng.standard_normal((8, 3)), mode="economic")[0]
         P = la.Projector(Q.T, np.array([3.0, 2.0, 1.0]))
-        u = rng.standard_normal(8)
-        out = la.project(P, u)
-        np.testing.assert_allclose(out, Q.T @ u, rtol=1e-13)
-        assert np.linalg.norm(out) <= np.linalg.norm(u) + 1e-12
+        M = rng.standard_normal((8, 2))
+        out = la.project_columns(P, la.DataMatrix(M))
+        np.testing.assert_allclose(out, Q.T @ M, rtol=1e-13)
+        assert (np.linalg.norm(out, axis=0) <= np.linalg.norm(M, axis=0) + 1e-12).all()
 
     def test_dimension_mismatch(self):
         P = la.Projector(np.eye(4)[:2], np.array([2.0, 1.0]))
         with pytest.raises(InputError):
-            la.project(P, np.zeros(5))
+            la.project_columns(P, la.DataMatrix(np.zeros((5, 2))))
 
     def test_project_columns_matches_per_column(self):
         rng = np.random.default_rng(6)
@@ -471,8 +488,9 @@ class TestProject:
         for fit in (la.fit_uncentered_pca, la.fit_centered_pca):
             P = fit(A, 4)
             Y = la.project_columns(P, A)
+            shift = P.mean_vector if P.centered else np.zeros(15)
             for i in range(9):
-                np.testing.assert_allclose(Y[:, i], la.project(P, M[:, i]), atol=1e-12)
+                np.testing.assert_allclose(Y[:, i], P.components @ (M[:, i] - shift), atol=1e-12)
 
     def test_monotone_in_k_within_one_fit(self):
         M = spiked_matrix(40, 35, rank=6, noise=0.05, seed=13)
@@ -647,18 +665,22 @@ class TestBitsMatchFloat64:
         assert (tmp_path / "bits.mtx").read_bytes() == (tmp_path / "floats.mtx").read_bytes()
 
     @pytest.mark.parametrize("driver", ["dense", "gram", "lanczos"])
-    def test_fits_and_projections_agree(self, pair, driver):
+    def test_fits_and_projections_agree(self, pair, driver, monkeypatch):
         bits, floats = pair
         if driver == "dense":  # a shape the dense driver takes
             bits, floats = (la.DataMatrix(A.values[:, :300], A.labels[:300]) for A in pair)
-        fits = []
-        for A in (bits, floats):
-            gram = la.centered_gram(A.values) if driver == "gram" else None
-            fits.append(la.fit_uncentered_pca(A, 4, gram=gram))
-        assert [P.driver for P in fits] == [driver, driver]
-        self.close(fits[0].singular_values, fits[1].singular_values)
-        self.close(fits[0].components, fits[1].components)
-        self.close(la.project_columns(fits[0], bits), la.project_columns(fits[1], floats))
+        if driver == "lanczos":
+            monkeypatch.setattr(la, "_GRAM_CUTOFF", 0)
+        # the gram driver reads the caller's G, then forms its own
+        for caller in (True, False) if driver == "gram" else (False,):
+            fits = []
+            for A in (bits, floats):
+                gram = la.centered_gram(A.values) if caller else None
+                fits.append(la.fit_uncentered_pca(A, 4, gram=gram))
+            assert [P.driver for P in fits] == [driver, driver]
+            self.close(fits[0].singular_values, fits[1].singular_values)
+            self.close(fits[0].components, fits[1].components)
+            self.close(la.project_columns(fits[0], bits), la.project_columns(fits[1], floats))
 
     def test_centered_fit_agrees(self, pair):
         fits = [la.fit_centered_pca(A, 4) for A in pair]

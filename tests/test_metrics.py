@@ -91,6 +91,31 @@ def test_one_driver_loop_calls_pass():
     assert len(callers) == 1 and callers[0].startswith("metrics.py:"), callers
 
 
+def _matrix_products(tree):
+    """Nodes of a module that form a matrix product: ``@``, ``@=``, or a call to dot or matmul."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dot", "matmul"):
+                yield node
+
+
+def test_metrics_forms_no_matrix_product():
+    """metrics reads every product through linalg's primitives (gram_rows, gram_block, product)."""
+    tree = ast.parse(Path(metrics.__file__).read_text(), filename=metrics.__file__)
+    assert [node.lineno for node in _matrix_products(tree)] == []
+
+
+def test_matrix_products_are_caught():
+    for source in ("a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.matmul(a, b)"):
+        assert list(_matrix_products(ast.parse(source))), source
+    for source in ("a * b", "np.multiply(a, b)", "a.sum()"):
+        assert not list(_matrix_products(ast.parse(source))), source
+
+
 class TestPairCompression:
     def test_matches_bruteforce_oracle(self):
         A = small_labeled_matrix()

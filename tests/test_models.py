@@ -228,7 +228,7 @@ class TestSerialization:
             [mo.NoiseSpec("uniform-symmetric", 0.1), mo.NoiseSpec("truncated-gaussian", 0.2)],
         )
         path = tmp_path / "model.json"
-        mo.save_model(model, path)
+        path.write_text(json.dumps(model.to_dict()))
         loaded = mo.load_model(path)
         np.testing.assert_array_equal(loaded.centers, model.centers)
         assert loaded.sizes == model.sizes
