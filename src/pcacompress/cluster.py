@@ -195,14 +195,11 @@ class KMeansPoints:
         self.form = _GramForm(X) if n <= X.shape[1] and n * n <= _DENSIFY_BUDGET else _PointForm(X)
 
 
-def kmeans(points, k: int, seed: int = 0) -> Labeling:
+def kmeans(prepared: KMeansPoints, k: int, seed: int = 0) -> Labeling:
     """Lloyd's algorithm with k-means++ seeding, best of ``_RESTARTS``.
 
-    ``points`` holds one point per row, dense or sparse, or is a
-    :class:`KMeansPoints` set up from them. Inertia is checked to be
-    non-increasing on every iteration.
+    Inertia is checked to be non-increasing on every iteration.
     """
-    prepared = points if isinstance(points, KMeansPoints) else KMeansPoints(points)
     n = prepared.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n={n}, got k={k}")

@@ -38,11 +38,12 @@ size regimes of ``m = min(d, n)``:
   solved whole by numpy's ``eigh``. The eigenvectors are one side's
   singular vectors, and A applied to them over S gives the other's (Halko,
   Martinsson & Tropp 2011, section 5.1). The fit is kept only when each
-  kept component's a-posteriori residual, ``||A^T u_i - s_i v_i|| / s_1``
-  or ``||A v_i - s_i u_i|| / s_1`` for the side not read off G, is at
+  kept component's a-posteriori residual, ``||A^T u_i - s_i v_i|| / s_i``
+  or ``||A v_i - s_i u_i|| / s_i`` for the side not read off G, is at
   most ``RESIDUAL_RTOL`` (ibid., sections 4.3-4.4), and the projector
-  records that residual. That bounds errors relative to s_1: a component
-  far below s_1 keeps fewer digits than Lanczos would give it;
+  records the largest. Each component is held to its own s_i: a Gram
+  matrix squares the condition number, so a component far below s_1
+  loses digits there, and such a fit goes to Lanczos;
 - otherwise, or when the Gram fit is not certified, ``lanczos``: an exact
   ARPACK solve (``scipy.sparse.linalg.svds``) on the implicit operator,
   or ``dense`` when ARPACK has no room for k'+1 triplets.
@@ -75,7 +76,7 @@ from .errors import InputError
 # flagged as ill-defined.
 GAP_RTOL = 1e-10
 
-# Largest relative residual ||A^T u_i - s_i v_i|| / s_1 a kept component
+# Largest relative residual ||A^T u_i - s_i v_i|| / s_i a kept component
 # of a gram fit may have before Lanczos refits.
 RESIDUAL_RTOL = 1e-8
 
@@ -359,10 +360,14 @@ def _complete_orthonormal(U: np.ndarray, d: int, total: int, seed: int) -> np.nd
 
 
 def _row_sliceable(M):
-    """``(R, mean)``: M as a dense or CSR array, whose row slices are cheap, and M's mean column."""
+    """M as a dense or CSR array, whose row slices are cheap."""
     # row slices of CSR are cheap, of CSC they cost a pass over all entries
-    R = sp.csr_array(M) if sp.issparse(M) and M.format != "csr" else M
-    return R, np.asarray(M.mean(axis=1)).reshape(M.shape[0])
+    return sp.csr_array(M) if sp.issparse(M) and M.format != "csr" else M
+
+
+def _mean_column(M) -> np.ndarray:
+    """M's mean column, as :func:`centered_gram` returns it."""
+    return np.asarray(M.mean(axis=1)).reshape(M.shape[0])
 
 
 def range_scale(M) -> float:
@@ -411,7 +416,7 @@ def centered_gram(M):
     from scipy.linalg.blas import dsyrk
 
     n = M.shape[1]
-    R, mean = _row_sliceable(M)
+    R, mean = _row_sliceable(M), _mean_column(M)
     G = np.zeros((n, n), order="F")
     for block in _centered_row_blocks(R, mean):
         # G's upper triangle += block^T block, in place: no n x n temporary per block
@@ -437,7 +442,7 @@ def gram_rows(M, G: Optional[np.ndarray], depth: int):
         return np.diag(G).copy(), lambda a, b: G[a:b, a:]
     if sp.issparse(M) and M.nnz < DENSE_GRAM_DENSITY * d * n:
         return squared_norms(M, 0), lambda a, b: (M[:, a:b].T @ M[:, a:]).toarray()
-    R, mean = _row_sliceable(M)
+    R, mean = _row_sliceable(M), _mean_column(M)
     # row blocks as deep as a tile: the tile's product runs at BLAS speed,
     # and a block is no larger than the tile
     g = np.zeros(n)
@@ -477,7 +482,7 @@ def _side_gram(op: _Operator) -> np.ndarray:
     mean = np.zeros(d) if op.mean is None else op.mean
     G = np.zeros((min(d, n),) * 2)
     if n <= d:
-        for block in _centered_row_blocks(_row_sliceable(M)[0], mean):
+        for block in _centered_row_blocks(_row_sliceable(M), mean):
             G += block.T @ block
             del block  # freed before the next block is formed
         return G
@@ -539,17 +544,25 @@ def _dense_svd(op: _Operator):
 
 
 def _residual(block: np.ndarray, s: np.ndarray) -> float:
-    """Largest column norm of a residual block, relative to s_1.
+    """Largest column norm of a residual block, each relative to its own singular value.
 
     The block is ``A^T U - V S`` of a Gram fit over the kept triplets,
     with V the eigenvectors (or ``A V - U S`` with U the eigenvectors);
     the other product is zero by construction, so it certifies nothing.
-    Only a Gram matrix of a zero matrix has s_1 = 0; its residual is 0,
-    whatever roundoff an implicitly centered operator leaves in the block.
+    Dividing column i by s_i bounds each kept component's own relative
+    error, so a component far below s_1, where squaring the condition
+    number costs digits, is not certified by s_1's accuracy. A kept
+    singular value of 0 below a nonzero s_1 certifies nothing (infinite
+    residual). Only a Gram matrix of a zero matrix has s_1 = 0; its
+    residual is 0, whatever roundoff an implicitly centered operator
+    leaves in the block.
     """
     if not s[0]:
         return 0.0
-    return float(np.linalg.norm(block, axis=0).max()) / float(s[0])
+    kept = s[: block.shape[1]]
+    if not kept[-1]:
+        return math.inf
+    return float((np.linalg.norm(block, axis=0) / kept).max())
 
 
 def _is_zero(op: _Operator) -> bool:

@@ -13,6 +13,7 @@ from pcacompress.cluster import (
     ari,
     best_match_accuracy,
     community_detect,
+    KMeansPoints,
     kmeans,
     knn_graph,
     nmi,
@@ -50,14 +51,14 @@ class TestKmeans:
     def test_separated_masses_recovered_exactly(self):
         rng = np.random.default_rng(0)
         points, truth = blob_points(rng, [(0, 0), (50, 0), (0, 50)], 10, 0.0)
-        result = kmeans(points, 3, seed=1)
+        result = kmeans(KMeansPoints(points), 3, seed=1)
         assert ari(result, truth) == 1.0
         assert result.inertia == pytest.approx(0.0, abs=1e-18)
 
     def test_single_cluster_inertia_is_total_scatter(self):
         rng = np.random.default_rng(2)
         points = rng.uniform(size=(40, 3))
-        result = kmeans(points, 1, seed=0)
+        result = kmeans(KMeansPoints(points), 1, seed=0)
         assert np.all(result.labels == 0)
         scatter = np.sum((points - points.mean(axis=0)) ** 2)
         np.testing.assert_allclose(result.inertia, scatter, rtol=1e-12)
@@ -65,7 +66,7 @@ class TestKmeans:
     def test_reaches_bruteforce_optimum_on_12_points(self):
         rng = np.random.default_rng(5)
         points = rng.uniform(size=(12, 2))
-        result = kmeans(points, 3, seed=0)
+        result = kmeans(KMeansPoints(points), 3, seed=0)
 
         total = np.sum(points**2)
         best = np.inf
@@ -88,7 +89,7 @@ class TestKmeans:
     def test_inertia_consistent_with_labels(self):
         rng = np.random.default_rng(7)
         points = rng.uniform(size=(60, 4))
-        result = kmeans(points, 5, seed=3)
+        result = kmeans(KMeansPoints(points), 5, seed=3)
         centers = np.stack(
             [points[result.labels == c].mean(axis=0) for c in range(5)]
         )
@@ -98,8 +99,8 @@ class TestKmeans:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         points = rng.uniform(size=(50, 3))
-        a = kmeans(points, 4, seed=11)
-        b = kmeans(points, 4, seed=11)
+        a = kmeans(KMeansPoints(points), 4, seed=11)
+        b = kmeans(KMeansPoints(points), 4, seed=11)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.inertia == b.inertia
 
@@ -107,7 +108,7 @@ class TestKmeans:
         # duplicates force empty clusters during iteration; the reseeding
         # policy must still terminate with zero inertia
         points = np.array([[0.0, 0.0]] * 6 + [[9.0, 9.0]] * 6)
-        result = kmeans(points, 3, seed=0)
+        result = kmeans(KMeansPoints(points), 3, seed=0)
         assert result.inertia == pytest.approx(0.0, abs=1e-18)
 
     def test_fewer_distinct_points_than_clusters_gram_form(self, monkeypatch):
@@ -123,7 +124,7 @@ class TestKmeans:
 
         monkeypatch.setattr(cluster._GramForm, "means", spy)
         points = np.array([[0.0] * 16] * 6 + [[9.0] * 16] * 6)
-        result = kmeans(points, 3, seed=0)
+        result = kmeans(KMeansPoints(points), 3, seed=0)
         assert any(emptied)
         assert result.inertia == pytest.approx(0.0, abs=1e-18)
 
@@ -152,26 +153,26 @@ class TestKmeans:
         labels, inertia = self.best_of_restarts(cluster._GramForm(points), 5, seed)
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_allclose(inertia, ref_inertia, rtol=1e-12)
-        result = kmeans(points, 5, seed=seed)
+        result = kmeans(KMeansPoints(points), 5, seed=seed)
         np.testing.assert_array_equal(result.labels, labels)
         assert result.inertia == inertia
 
     def test_sparse_points_match_dense(self):
         rng = np.random.default_rng(13)
         dense = rng.uniform(size=(30, 8)) * (rng.uniform(size=(30, 8)) < 0.4)
-        a = kmeans(dense, 3, seed=2)
-        b = kmeans(sp.csr_array(dense), 3, seed=2)
+        a = kmeans(KMeansPoints(dense), 3, seed=2)
+        b = kmeans(KMeansPoints(sp.csr_array(dense)), 3, seed=2)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_allclose(a.inertia, b.inertia, rtol=1e-9)
 
     def test_validation(self):
         points = np.zeros((4, 2))
         with pytest.raises(InputError):
-            kmeans(points, 5)
+            kmeans(KMeansPoints(points), 5)
         with pytest.raises(InputError):
-            kmeans(points, 0)
+            kmeans(KMeansPoints(points), 0)
         with pytest.raises(InputError):
-            kmeans(np.array([[np.nan, 0.0]]), 1)
+            KMeansPoints(np.array([[np.nan, 0.0]]))
 
 
 def graph_of(n, edges):

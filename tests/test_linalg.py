@@ -1,4 +1,6 @@
 import ast
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,12 +265,10 @@ class TestTruncatedSvd:
 
 class TestGramSvd:
     """A sparse input too large to densify takes the certified drivers: a Gram fit
-    up to ``_GRAM_CUTOFF``, Lanczos past it (here, with the cutoff at 0)."""
+    up to ``_GRAM_CUTOFF``, Lanczos past it or when the Gram fit is not certified."""
 
     def fit_oracle(self, monkeypatch, M, k, centered, driver):
         monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
-        if driver == "lanczos":
-            monkeypatch.setattr(la, "_GRAM_CUTOFF", 0)
         fit = la.fit_centered_pca if centered else la.fit_uncentered_pca
         P = fit(la.DataMatrix(sp.csc_array(M)), k)
         assert P.driver == driver
@@ -286,14 +286,16 @@ class TestGramSvd:
         d, n = shape
         M = spiked_matrix(d, n, rank=4, noise=1e-3, seed=5)
         M *= np.random.default_rng(6).random((d, n)) < 0.4
-        for driver in ("gram", "lanczos"):
-            self.fit_oracle(monkeypatch, M, 4, centered, driver)
+        self.fit_oracle(monkeypatch, M, 4, centered, "gram")
+        monkeypatch.setattr(la, "_GRAM_CUTOFF", 0)
+        self.fit_oracle(monkeypatch, M, 4, centered, "lanczos")
 
     @pytest.mark.parametrize("shape", [(400, 120), (120, 400)], ids=["tall", "wide"])
     def test_ill_conditioned_input_keeps_full_precision(self, monkeypatch, shape):
         # singular values 1e4 down to 0.1 over a 1e-3 floor: squaring the
-        # condition number in a Gram product costs s_1..s_6 about 3e-8, within
-        # the Gram fit's certificate (relative to s_1), so Lanczos keeps them
+        # condition number in a Gram product costs s_6 about 5e-8 of its
+        # value, so the Gram fit is tried, fails its per-component
+        # certificate, and Lanczos keeps every digit
         d, n = shape
         r = min(d, n)
         rng = np.random.default_rng(14)
@@ -302,7 +304,16 @@ class TestGramSvd:
         spectrum = np.full(r, 1e-3)
         spectrum[:6] = [1e4, 1e3, 1e2, 10.0, 1.0, 0.1]
         M = left @ (spectrum[:, None] * right.T)
+        gram_fit, tried = la._gram_fit, []
+
+        def spy(*args, **kwargs):
+            result = gram_fit(*args, **kwargs)
+            tried.append(result[2])  # the Gram fit's residual
+            return result
+
+        monkeypatch.setattr(la, "_gram_fit", spy)
         self.fit_oracle(monkeypatch, M, 6, centered=False, driver="lanczos")
+        assert len(tried) == 1 and tried[0] > la.RESIDUAL_RTOL
 
 
 class TestGramFit:
@@ -367,6 +378,15 @@ class TestFitResidual:
         zero = np.zeros((150, 120))
         P = la.fit_uncentered_pca(la.DataMatrix(zero), 3, gram=la.centered_gram(zero))
         assert P.driver == "gram" and P.residual == 0.0
+
+    def test_residual_is_relative_to_each_singular_value(self):
+        block = np.array([[3e-9, 3e-9, 0.0], [4e-9, 4e-9, 0.0]])  # column norms 5e-9, 5e-9, 0
+        assert la._residual(block[:, :2], np.array([1.0, 0.25, 0.1])) == pytest.approx(2e-8)
+        # a kept singular value of 0 below a nonzero s_1 certifies nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert la._residual(block, np.array([1.0, 0.5, 0.0])) == math.inf
+            assert la._residual(block, np.zeros(3)) == 0.0
 
     def test_exact_fits_record_none(self, monkeypatch):
         M = np.random.default_rng(16).standard_normal((200, 150))
@@ -722,11 +742,12 @@ class TestBitsMatchFloat64:
         self.close(norms[0], norms[1])
 
     def test_kmeans_labels_are_identical(self, pair):
-        from pcacompress.cluster import kmeans
+        from pcacompress.cluster import KMeansPoints, kmeans
 
         bits, floats = pair
         np.testing.assert_array_equal(
-            kmeans(bits.values.T, 2, seed=0).labels, kmeans(floats.values.T, 2, seed=0).labels
+            kmeans(KMeansPoints(bits.values.T), 2, seed=0).labels,
+            kmeans(KMeansPoints(floats.values.T), 2, seed=0).labels,
         )
 
     def test_mixed_families_draw_float64(self):
