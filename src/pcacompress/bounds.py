@@ -26,7 +26,6 @@ import numpy as np
 from .errors import InputError
 from .linalg import (
     DataMatrix,
-    centered_gram,
     fit_uncentered_pca,
     product,
     spectral_norm,
@@ -347,42 +346,42 @@ class _Draw:
 def _draw(model: RandomVectorModel, seed: int, kprime: Optional[int] = None) -> _Draw:
     """Draw the seed's dataset and measure it, fitting top-k' uncentered PCA when given k'.
 
-    The dataset's centered Gram matrix is formed once; the fit (when it
-    is past the dense driver), the original pair distances and the noise
-    norm all read it. Neither the dataset nor the Gram matrix outlives
-    the call.
+    The dataset holds its centered Gram matrix, formed once; the fit
+    (when it is past the dense driver), the original pair distances and
+    the noise norm all read it. Neither the dataset nor the Gram matrix
+    outlives the call.
     """
     A = generate_dataset(model, seed)
-    G, mean = centered_gram(A.values)
+    A.hold_gram()
     fit = {}
     if kprime is not None:
-        P = fit_uncentered_pca(A, kprime, gram=(G, mean))
+        P = fit_uncentered_pca(A, kprime)
         table = ClusterPairTable(A.labels, extremes=True)
-        pair_compression(A, P, (table,), gram=G)
+        pair_compression(A, P, (table,))
         s_k = float(P.singular_values[model.k - 1])
         fit = dict(s_k=s_k, driver=P.driver, residual=P.residual, table=table)
-    return _Draw(*_noise_norm(model, A, G, mean), **fit)
+    return _Draw(*_noise_norm(model, A), **fit)
 
 
-def _noise_norm(
-    model: RandomVectorModel, A: DataMatrix, G: np.ndarray, mean: np.ndarray
-) -> Tuple[float, str]:
-    """``(estimate, source)``: ||E|| of A's noise block E, given the centered Gram matrix
-    G and mean column of ``A.values``.
+def _noise_norm(model: RandomVectorModel, A: DataMatrix) -> Tuple[float, str]:
+    """``(estimate, source)``: ||E|| of A's noise block E, read off A's held Gram matrix
+    G and mean column when it holds them.
 
     With the d x k centers C, the one-hot memberships Z and D = C - mean 1^T,
     the noise block is E = (A - mean 1^T) - D Z^T, so
     E^T E = G - H Z^T - Z H^T + Z (D^T D) Z^T with H = (A - mean 1^T)^T D:
     an O(dnk) product instead of a second d x n buffer and Gram product.
     """
-    labels = model.labels()
-    D = model.centers.T - mean[:, None]
-    H = product(A.values, D, transpose=True) - (mean @ D)[None, :]
-    HZ = H[:, labels]
-    noise_gram = G - HZ - HZ.T + (D.T @ D)[np.ix_(labels, labels)]
-    top = top_eigenvalue(noise_gram)
-    if top > 0 and np.finfo(float).eps * np.diag(G).max() <= NOISE_GRAM_RTOL * top:
-        return math.sqrt(top), "gram"
+    if A.gram is not None:
+        G, mean = A.gram
+        labels = model.labels()
+        D = model.centers.T - mean[:, None]
+        H = product(A.values, D, transpose=True) - (mean @ D)[None, :]
+        HZ = H[:, labels]
+        noise_gram = G - HZ - HZ.T + (D.T @ D)[np.ix_(labels, labels)]
+        top = top_eigenvalue(noise_gram)
+        if top > 0 and np.finfo(float).eps * np.diag(G).max() <= NOISE_GRAM_RTOL * top:
+            return math.sqrt(top), "gram"
     # E = A - mean matrix, built in the mean matrix's own buffer so
     # the fallback holds only A and E
     E = model.mean_matrix()

@@ -261,18 +261,17 @@ def _ingest(args):
     return load_matrix(spec)
 
 
-def _pair_policy(args):
-    sample = getattr(args, "sample_pairs", None)
-    if sample is None:
-        return "exact"
-    return ("sampled", sample, args.seed)
+def _pair_sample(args):
+    """``(m, seed)`` for ``--sample-pairs m``, else None: all pairs."""
+    m = getattr(args, "sample_pairs", None)
+    return None if m is None else (m, args.seed)
 
 
 def _pair_fields(args, pair_count, recomputed) -> dict:
     """The pair policy and what a pass under it counted, for a report."""
-    policy = _pair_policy(args)
+    sample = _pair_sample(args)
     return {
-        "pair_policy": policy if policy == "exact" else {"sampled": policy[1], "seed": policy[2]},
+        "pair_policy": "exact" if sample is None else {"sampled": sample[0], "seed": sample[1]},
         "pair_count": int(pair_count),
         "recomputed_pairs": int(recomputed),
     }
@@ -345,7 +344,7 @@ def cmd_analyze(args) -> Report:
         sinks = [ClusterPairTable(np.zeros(A.n, dtype=np.int64))]
     else:
         sinks = [sink(A.labels) for sink in (ClusterPairTable, PointSums, CurveHistogram)]
-    pairs = pair_compression(A, P, sinks, _pair_policy(args))
+    pairs = pair_compression(A, P, sinks, _pair_sample(args))
     table = sinks[0]
 
     doc = {
@@ -482,7 +481,7 @@ def cmd_sweep_pcs(args) -> Report:
         raise InputError("--grid values must be positive")
 
     full = fit_uncentered_pca(A, grid[-1], args.seed)
-    sweep = pcs_sweep(A, full, grid, _pair_policy(args))
+    sweep = pcs_sweep(A, full, grid, _pair_sample(args))
     doc = {"grid": sweep.rows, **_pair_fields(args, sweep.pair_count, sweep.recomputed)}
     header = ("pcs", "intra_ratio_avg", "inter_ratio_avg", "gap")
     tables = {"sweep.tsv": (header, [[r[key] for key in header] for r in sweep.rows])}

@@ -72,6 +72,12 @@ def _open_binary(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _open_text(path):
+    """A UTF-8 text stream writing a plain or gzip file."""
+    path = str(path)
+    return (gzip.open if path.endswith(".gz") else open)(path, "wt", encoding="utf-8")
+
+
 def _numbered_lines(fh, path) -> Iterator[Tuple[int, str]]:
     """(1-based line number, text) of each line of a binary stream.
 
@@ -365,11 +371,7 @@ def write_matrix(A: DataMatrix, path) -> None:
     """
     values, nnz = A.values, A.nnz
     width = max(1, _WRITE_BLOCK_ENTRIES * A.n // max(nnz, 1))
-    path = str(path)
-    opener = gzip.open(path, "wt", encoding="utf-8") if path.endswith(".gz") else open(
-        path, "w", encoding="utf-8"
-    )
-    with opener as fh:
+    with _open_text(path) as fh:
         fh.write(f"{MM_HEADER}\n{A.d} {A.n} {nnz}\n")
         for start in range(0, A.n, width):
             # a CSC block lists its entries column by column, rows ascending
@@ -383,11 +385,7 @@ def write_matrix(A: DataMatrix, path) -> None:
 
 def write_labels(labels: Sequence, path, names: Optional[List[str]] = None) -> None:
     """One label per line; integer ids unless names are supplied."""
-    path = str(path)
-    opener = gzip.open(path, "wt", encoding="utf-8") if path.endswith(".gz") else open(
-        path, "w", encoding="utf-8"
-    )
-    with opener as fh:
+    with _open_text(path) as fh:
         for value in labels:
             token = names[int(value)] if names else str(int(value))
             fh.write(token + "\n")

@@ -6,17 +6,17 @@ entry (an all-Bernoulli draw from :mod:`~pcacompress.models`; a float64
 copy would take 8 bytes per entry). This is the one module that tells
 the kinds apart. The rest of the library reads storage through its
 primitives (:func:`checked_matrix`, :func:`stored`, :func:`as_dense`,
-:func:`squared_norms`, :func:`product`) and its Gram products
-(:func:`centered_gram`, the pair engine's tiles from :func:`gram_rows`,
-and :func:`gram_block` of projected coordinates). Bits are read in float64 blocks of at most
-``_BLOCK_ENTRIES`` entries: :func:`product` sums over n in row blocks
-and over d in column blocks, :func:`centered_gram` and
-:func:`gram_rows` center row blocks, and :func:`as_dense` (which the
-dense driver reads) and :func:`spectral_norm` convert to float64, and a
-Gram fit's own blocks center row or column blocks. Sums of
-0/1 entries are exact integers, so :func:`centered_gram`,
-:meth:`DataMatrix.row_means` and :func:`squared_norms` give the same
-bits as on a float64 copy.
+:func:`squared_norms`, :func:`product`) and its Gram products (the Gram
+matrix a :class:`DataMatrix` holds, the pair engine's tiles from
+:func:`gram_rows`, and :func:`gram_block` of projected coordinates).
+Bits are read in float64 blocks of at most ``_BLOCK_ENTRIES`` entries:
+:func:`product` sums over n in row blocks and over d in column blocks,
+:func:`centered_gram` and :func:`gram_rows` center row blocks, and
+:func:`as_dense` (which the dense driver reads) and
+:func:`spectral_norm` convert to float64, and a Gram fit's own blocks
+center row or column blocks. Sums of 0/1 entries are exact integers, so
+:func:`centered_gram`, :meth:`DataMatrix.row_means` and
+:func:`squared_norms` give the same bits as on a float64 copy.
 
 The library works on feature-by-sample matrices (columns are datapoints).
 Projections here are always onto top left singular vectors; "uncentered"
@@ -29,10 +29,10 @@ size regimes of ``m = min(d, n)``:
 - ``dense``, for m up to ``_DENSE_CUTOFF`` when the input is dense, or
   sparse with at most ``_DENSIFY_BUDGET`` cells: an exact SVD by
   numpy's LAPACK;
-- ``gram``, a certified Gram fit. With the caller's n x n centered Gram
-  matrix of the columns (as :func:`centered_gram` returns it, for an
-  uncentered fit), whatever m: the top k'+1 eigenpairs of the
-  uncentered Gram matrix derived from it, by scipy's subset ``eigh``.
+- ``gram``, a certified Gram fit. When the matrix holds its Gram matrix
+  (:meth:`DataMatrix.hold_gram`), for an uncentered fit, whatever m: the
+  top k'+1 eigenpairs of the uncentered Gram matrix derived from it, by
+  scipy's subset ``eigh``.
   Otherwise for m up to ``_GRAM_CUTOFF``: the Gram matrix of the smaller
   side, formed from dense centered blocks (scaled by :func:`range_scale`),
   solved whole by numpy's ``eigh``. The eigenvectors are one side's
@@ -51,7 +51,7 @@ size regimes of ``m = min(d, n)``:
 ``_GRAM_CUTOFF`` is measured (README); a Gram fit holds about 4 m^2
 doubles. scipy's linear algebra loads only inside Lanczos and the
 routines of the bound commands (the ``dsyrk`` of :func:`centered_gram`,
-the subset ``eigh`` of a caller's G, :func:`top_eigenvalue`): numpy has
+the subset ``eigh`` of a held G, :func:`top_eigenvalue`): numpy has
 no symmetric rank-k update and no subset eigensolver, and its full
 ``eigh`` there measured slower and larger. Every other fit maps numpy's
 BLAS alone.
@@ -179,6 +179,7 @@ class DataMatrix:
 
     def __init__(self, values, labels=None):
         self.values = checked_matrix(values, "csc", "data matrix", bits=True)
+        self._gram = None
         d, n = self.values.shape
         if d < 1 or n < 2:
             raise InputError(f"need d >= 1 and n >= 2, got shape {d}x{n}")
@@ -228,6 +229,16 @@ class DataMatrix:
         # a sum divided by n, as numpy's mean is: a sparse array's mean
         # multiplies by 1/n, which leaves a constant row's mean inexact
         return self.values.sum(axis=1) / self.n
+
+    def hold_gram(self) -> None:
+        """Hold the values' ``(G, mean)`` from :func:`centered_gram` as ``gram``, for its readers.
+
+        The one rule for reading a held G: values whose :func:`range_scale` is not 1 hold none,
+        since G's entries would leave float64.
+        """
+        self._gram = centered_gram(self.values) if range_scale(self.values) == 1.0 else None
+
+    gram = property(lambda self: self._gram, doc="The ``(G, mean)`` :meth:`hold_gram` holds, or None.")
 
 
 @dataclass
@@ -430,12 +441,12 @@ def gram_rows(M, G: Optional[np.ndarray], depth: int):
     """``(g, rows)``: the Gram matrix exact pair distances read, by row tiles.
 
     ``g`` is its diagonal and ``rows(a, b)`` its block of rows a:b and
-    columns a:n. It is the caller's G (of the columns after any shift
-    they all share), else that of the mean-centered columns for a dense
-    M or a sparse one with at least ``DENSE_GRAM_DENSITY`` of its entries
-    stored, formed from centered row blocks ``depth`` rows deep:
-    distances ignore a shared shift, and such a shift would otherwise
-    cancel in the Gram identity. A sparser M keeps the sparse product.
+    columns a:n. It is the held G (:attr:`DataMatrix.gram`), else that of
+    the mean-centered columns for a dense M or a sparse one with at least
+    ``DENSE_GRAM_DENSITY`` of its entries stored, formed from centered row
+    blocks ``depth`` rows deep: distances ignore a shared shift, and such a
+    shift would otherwise cancel in the Gram identity. A sparser M keeps the
+    sparse product.
     """
     d, n = M.shape
     if G is not None:
@@ -495,25 +506,26 @@ def _side_gram(op: _Operator) -> np.ndarray:
     return G
 
 
-def _gram_fit(op: _Operator, k: int, G: Optional[np.ndarray] = None):
+def _gram_fit(op: _Operator, k: int, held=None):
     """``(U, s, residual)``: the top k'+1 singular triplets of op read off a Gram matrix.
 
-    G is the caller's n x n Gram matrix of op's columns; its top
-    eigenpairs come from LAPACK's subset solver in scipy. Without G, op's
-    smaller side forms its own (:func:`_side_gram`), and numpy's ``eigh``
-    solves it whole. The eigenvectors are one side's singular vectors,
-    and the other side's are op applied to them over S, for every
+    ``held`` is the ``(G, mean)`` an uncentered op's matrix holds; the top
+    eigenpairs of ``A^T A = G + c 1^T + 1 c^T - ||mean||^2 1 1^T``, with
+    ``c = A^T mean``, come from LAPACK's subset solver in scipy. Without
+    it, op's smaller side forms its own (:func:`_side_gram`), and numpy's
+    ``eigh`` solves it whole. The eigenvectors are one side's singular
+    vectors, and the other side's are op applied to them over S, for every
     singular value above 1e-12 s_1, completed to orthonormal columns past
-    those. Squares the condition number, so the result is exact only
-    where the kept singular values are far from roundoff: ``residual`` is
-    the largest relative residual of the other side's kept vectors, which
+    those. Squares the condition number, so the result is exact only where
+    the kept singular values are far from roundoff: ``residual`` is the
+    largest relative residual of the other side's kept vectors, which
     :func:`_fit` certifies.
     """
     d, n = op.shape
     # the eigenvectors' side: V when they come from A^T A, else U
-    columns = G is not None or n <= d
+    columns = held is not None or n <= d
     forward, adjoint = (op.matmat, op.rmatmat) if columns else (op.rmatmat, op.matmat)
-    if G is None:
+    if held is None:
         G = _side_gram(op)
         top = min(k + 1, len(G))
         w, E = np.linalg.eigh(G)
@@ -521,6 +533,9 @@ def _gram_fit(op: _Operator, k: int, G: Optional[np.ndarray] = None):
     else:
         from scipy.linalg import eigh
 
+        G, mean = held
+        cross = product(op.values, mean, transpose=True).ravel()
+        G = G + cross[:, None] + (cross - float(mean @ mean))[None, :]
         top = min(k + 1, n)
         w, E = eigh(G, subset_by_index=[n - top, n - 1])
     del G
@@ -614,16 +629,7 @@ def _lanczos_svd(op: _Operator, k: int, seed: int):
     return U[:, order], s[order]
 
 
-def _uncentered_gram(M, G: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``M^T M`` from the centered Gram matrix G and mean column of :func:`centered_gram`.
-
-    With ``c = M^T mean``, ``M^T M = G + c 1^T + 1 c^T - ||mean||^2 1 1^T``.
-    """
-    cross = product(M, mean, transpose=True).ravel()
-    return G + cross[:, None] + (cross - float(mean @ mean))[None, :]
-
-
-def _fit(A: DataMatrix, k: int, seed: int, mean=None, gram=None) -> Projector:
+def _fit(A: DataMatrix, k: int, seed: int, mean=None) -> Projector:
     d, n = A.d, A.n
     m = min(d, n)
     if not 1 <= k <= m:
@@ -631,11 +637,11 @@ def _fit(A: DataMatrix, k: int, seed: int, mean=None, gram=None) -> Projector:
     op = _Operator(A.values, mean)
     driver, residual = "dense", None
     if m > _DENSE_CUTOFF or (A.is_sparse and d * n > _DENSIFY_BUDGET):
-        if gram is not None:
-            U, s, residual = _gram_fit(op, k, _uncentered_gram(A.values, *gram))
-        elif m <= _GRAM_CUTOFF:
-            scaled, scale = _scaled(op)
-            U, s, residual = _gram_fit(scaled, k)
+        # one scaled operator for both drivers; a held G is of uncentered values
+        scaled, scale = _scaled(op)
+        held = A.gram if mean is None else None
+        if held is not None or m <= _GRAM_CUTOFF:
+            U, s, residual = _gram_fit(scaled, k, held)
             s = s / scale
         driver = "gram"
         if residual is None or residual > RESIDUAL_RTOL:
@@ -645,7 +651,6 @@ def _fit(A: DataMatrix, k: int, seed: int, mean=None, gram=None) -> Projector:
     if driver == "dense":
         U, s = _dense_svd(op)
     elif driver == "lanczos":
-        scaled, scale = _scaled(op)
         U, s = _lanczos_svd(scaled, k, seed)
         s = s / scale
     s_next = s[k] if k < len(s) else None
@@ -662,19 +667,12 @@ def _fit(A: DataMatrix, k: int, seed: int, mean=None, gram=None) -> Projector:
     )
 
 
-def truncated_svd(A: DataMatrix, k: int, seed: int = 0, gram=None) -> Projector:
-    """Top-k left singular vectors and singular values of A.
+def fit_uncentered_pca(A: DataMatrix, k: int, seed: int = 0) -> Projector:
+    """PCA without mean subtraction: the top-k left singular vectors and singular values of A.
 
-    ``seed`` keys the Lanczos start vector. ``gram``, the ``(G, mean)``
-    pair :func:`centered_gram` returns for ``A.values``, lets a fit past
-    the dense driver try the Gram driver first; see the module docstring.
+    ``seed`` keys the Lanczos start vector; the module docstring gives the drivers.
     """
-    return _fit(A, k, seed, gram=gram)
-
-
-def fit_uncentered_pca(A: DataMatrix, k: int, seed: int = 0, gram=None) -> Projector:
-    """PCA without mean subtraction; identical to :func:`truncated_svd`."""
-    return truncated_svd(A, k, seed, gram)
+    return _fit(A, k, seed)
 
 
 def fit_centered_pca(A: DataMatrix, k: int, seed: int = 0) -> Projector:

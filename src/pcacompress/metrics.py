@@ -7,10 +7,10 @@ and as a ranking curve (what fraction of the most-compressed pairs are
 same-cluster pairs).
 
 Every consumer runs one pass shape: a pass definition (the matrix, its
-projected sides, the pair policy and any Gram matrix the caller holds)
-reduced into sinks. One driver loop, :func:`_run`, computes the pairs
-chunk by chunk, in row-major pair order, and hands each chunk (a
-:class:`PairSet`) to the sinks of its side and width:
+projected sides and any pair sample) reduced into sinks. One driver
+loop, :func:`_run`, computes the pairs chunk by chunk, in row-major pair
+order, and hands each chunk (a :class:`PairSet`) to the sinks of its
+side and width:
 :class:`ClusterPairTable` over cluster pairs, :class:`PointSums` per
 point, the curve's two passes (:class:`CurveHistogram`, then the bins
 holding its cut points), and the extra-component split's counts
@@ -32,7 +32,7 @@ above every finite ratio in the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,8 +53,6 @@ _CHUNK_PAIRS = 1 << 15
 # rows of the strict upper triangle per Gram tile: enough for the tile's
 # product to run at BLAS speed, few enough that n x tile stays small
 _TILE_ROWS = 256
-
-PairPolicy = Union[str, Tuple[str, int, int]]
 
 
 class PairSet:
@@ -99,20 +97,18 @@ def _triangular_decode(index: np.ndarray, n: int):
     return i, index - starts[i] + i + 1
 
 
-def _sampled_pairs(n: int, pair_policy: PairPolicy):
-    """The policy's pairs (i, j), i < j: None for all of them, else a uniform sample."""
-    if pair_policy == "exact":
+def _sampled_pairs(n: int, sample: Optional[Tuple[int, int]]):
+    """Pairs (i, j), i < j: a uniform sample of m for ``(m, seed)``, or None (all pairs) for None."""
+    if sample is None:
         return None
-    if isinstance(pair_policy, tuple) and len(pair_policy) == 3 and pair_policy[0] == "sampled":
-        _, m, seed = pair_policy
-        total = n * (n - 1) // 2
-        if not 1 <= m <= total:
-            raise InputError(f"sample size {m} outside [1, {total}]")
-        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-        chosen = rng.choice(total, size=m, replace=False)
-        chosen.sort()
-        return _triangular_decode(chosen, n)
-    raise InputError(f"unknown pair policy {pair_policy!r}")
+    m, seed = sample
+    total = n * (n - 1) // 2
+    if not 1 <= m <= total:
+        raise InputError(f"sample size {m} outside [1, {total}]")
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    chosen = rng.choice(total, size=m, replace=False)
+    chosen.sort()
+    return _triangular_decode(chosen, n)
 
 
 def _direct_distances(M, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -149,15 +145,15 @@ def _gram_distances(block, g, upper, i, j, M) -> Tuple[np.ndarray, int]:
     return sq, len(direct)
 
 
-def _exact_parts(M, sides, G):
+def _exact_parts(M, sides, g, rows):
     """All pairs, chunk by chunk: ``(i, j, pre, posts, recomputed)``.
 
-    One tile of rows of the strict upper triangle at a time; each chunk's
+    One tile of rows of the strict upper triangle at a time, from M's
+    :func:`~pcacompress.linalg.gram_rows` ``(g, rows)``; each chunk's
     projected Gram blocks are prefix sums over the components of each
     side's centered coordinates.
     """
     n = M.shape[1]
-    g, rows = gram_rows(M, G, _TILE_ROWS)
     centered = []
     for Y, widths in sides:
         Yc = Y - Y.mean(axis=1, keepdims=True)
@@ -193,24 +189,25 @@ def _sampled_parts(M, sides, sample):
         yield i, j, _direct_distances(M, i, j), posts, 0
 
 
-def _pass(A: DataMatrix, sides, sample=None, G=None):
+def _pass(A: DataMatrix, sides, sample=None):
     """One pass over all pairs, or the ``sample``'s, under several projections.
 
     ``sides`` holds ``(Y, widths)``: projected coordinates (k' x n) and
     the leading-row counts, ascending, to measure in. Yields per chunk
     one :class:`PairSet` per side and width, in that order, all sharing
-    the chunk's pairs and original distances. A matrix whose largest
-    entry lies outside :func:`~pcacompress.linalg.range_scale`'s range
-    is measured scaled by an exact power of two, sides alike, without
-    the caller's G (whose entries have already left float64), and its
+    the chunk's pairs and original distances, all pairs by A's held Gram
+    matrix if any. A matrix whose largest entry lies outside
+    :func:`~pcacompress.linalg.range_scale`'s range (and so holds none)
+    is measured scaled by an exact power of two, sides alike, and its
     distances scaled back.
     """
     M, scale = A.values, range_scale(A.values)
     if scale != 1.0:
-        M, G = M * scale, None
+        M = M * scale
         sides = [(Y * scale, widths) for Y, widths in sides]
     if sample is None:
-        parts = _exact_parts(M, sides, G)
+        G = None if A.gram is None else A.gram[0]
+        parts = _exact_parts(M, sides, *gram_rows(M, G, _TILE_ROWS))
     else:
         parts = _sampled_parts(M, sides, sample)
     for i, j, pre, posts, recomputed in parts:
@@ -231,28 +228,25 @@ def _pass(A: DataMatrix, sides, sample=None, G=None):
         yield out
 
 
-def _run(A: DataMatrix, sides, sinks, sample, G) -> None:
+def _run(A: DataMatrix, sides, sinks, sample=None) -> None:
     """The one driver loop: a :func:`_pass`, its chunks of side-and-width t to each of ``sinks[t]``."""
-    for chunks in _pass(A, sides, sample, G):
+    for chunks in _pass(A, sides, sample):
         for group, chunk in zip(sinks, chunks):
             for sink in group:
                 sink.update(chunk)
 
 
 class PairStream:
-    """The policy's pairs under one projector, computed afresh on each pass.
+    """All pairs, or a sample's, under one projector, computed afresh on each pass.
 
-    ``pair_policy`` is ``"exact"`` or ``("sampled", m, seed)`` for a
-    uniform sample of m unordered pairs. Columns are projected once, here;
-    :meth:`reduce` runs one pass and stores nothing per pair. ``gram``,
-    the centered Gram matrix of ``A.values`` from
-    :func:`~pcacompress.linalg.centered_gram`, spares the exact policy
-    forming its tiles.
+    ``sample`` is None for all pairs, or ``(m, seed)`` for a uniform
+    sample of m unordered pairs. Columns are projected once, here;
+    :meth:`reduce` runs one pass and stores nothing per pair.
     """
 
-    def __init__(self, A: DataMatrix, P: Projector, pair_policy: PairPolicy = "exact", gram=None):
-        self.A, self.gram = A, gram
-        self.sample = _sampled_pairs(A.n, pair_policy)
+    def __init__(self, A: DataMatrix, P: Projector, sample: Optional[Tuple[int, int]] = None):
+        self.A = A
+        self.sample = _sampled_pairs(A.n, sample)
         self.Y = project_columns(P, A)
 
     def __len__(self) -> int:
@@ -261,11 +255,11 @@ class PairStream:
 
     def reduce(self, *sinks) -> None:
         """One pass, each chunk to every sink."""
-        _run(self.A, [(self.Y, [self.Y.shape[0]])], [sinks], self.sample, self.gram)
+        _run(self.A, [(self.Y, [self.Y.shape[0]])], [sinks], self.sample)
 
 
 def pair_compression(
-    A: DataMatrix, P: Projector, sinks, pair_policy: PairPolicy = "exact", gram=None
+    A: DataMatrix, P: Projector, sinks, sample: Optional[Tuple[int, int]] = None
 ) -> PairStream:
     """Distances and compression ratios for all (or sampled) column pairs, reduced into ``sinks``.
 
@@ -273,7 +267,7 @@ def pair_compression(
     arguments): each chunk goes to every sink and none is kept. The
     stream is returned, for further passes; its length is the pair count.
     """
-    stream = PairStream(A, P, pair_policy, gram)
+    stream = PairStream(A, P, sample)
     stream.reduce(*sinks)
     return stream
 
@@ -541,12 +535,13 @@ class PcsSweep:
 
 
 def pcs_sweep(
-    A: DataMatrix, P: Projector, grid: Sequence[int], pair_policy: PairPolicy = "exact"
+    A: DataMatrix, P: Projector, grid: Sequence[int], sample: Optional[Tuple[int, int]] = None
 ) -> PcsSweep:
     """Mean intra and inter ratios, and their gap, under P's leading k' for k' in grid.
 
-    One pass serves the whole grid: the columns are projected once at
-    P's width, and each k' reads the leading rows.
+    One pass over all pairs, or the ``(m, seed)`` sample's, serves the
+    whole grid: the columns are projected once at P's width, and each
+    k' reads the leading rows.
     """
     if A.labels is None:
         raise InputError("sweep requires labels")
@@ -554,8 +549,7 @@ def pcs_sweep(
     if grid != sorted(set(grid)) or not 1 <= grid[0] <= grid[-1] <= P.k:
         raise InputError(f"sweep grid must ascend within [1, {P.k}], got {grid}")
     tables = [ClusterPairTable(A.labels) for _ in grid]
-    sample = _sampled_pairs(A.n, pair_policy)
-    _run(A, [(project_columns(P, A), grid)], [(t,) for t in tables], sample, None)
+    _run(A, [(project_columns(P, A), grid)], [(t,) for t in tables], _sampled_pairs(A.n, sample))
     rows = []
     for kprime, table in zip(grid, tables):
         diagonal = np.eye(len(table.count), dtype=bool)
@@ -601,7 +595,7 @@ def centering_comparison(A: DataMatrix, k: int, seed: int = 0) -> CenteringRepor
     if A.labels is None:
         return CenteringReport(cosine, None, None, None)
     tables = [ClusterPairTable(A.labels) for _ in range(2)]
-    _run(A, [(project_columns(P, A), [P.k]) for P in (unc, cen)], [(t,) for t in tables], None, None)
+    _run(A, [(project_columns(P, A), [P.k]) for P in (unc, cen)], [(t,) for t in tables])
     table_unc, table_cen = (cluster_summary(t) for t in tables)
     deltas = {}
     for row_u, row_c in zip(table_unc.rows, table_cen.rows):
@@ -651,5 +645,5 @@ def extra_pc_split(A: DataMatrix, P: Projector, k: int, shift: float) -> Tuple[i
         return int((sizes * (sizes - 1) // 2).sum()), 0, 0.0
     Y = project_columns(P, A)
     split = _TrailingSplit(shift)
-    _run(DataMatrix(Y, A.labels), [(Y[k:], [P.k - k])], [(split,)], None, None)
+    _run(DataMatrix(Y, A.labels), [(Y[k:], [P.k - k])], [(split,)])
     return split.intra, split.exceed, split.worst

@@ -32,6 +32,7 @@ drawn as float64.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -41,6 +42,14 @@ from .errors import InputError
 from .linalg import DataMatrix
 
 NOISE_FAMILIES = ("bernoulli-residual", "uniform-symmetric", "truncated-gaussian")
+
+
+def _whole(value, name: str) -> int:
+    """value as an int, when it is a whole number and not a boolean; a JSON 12 or 12.0 reads 12."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if not whole or isinstance(value, bool):
+        raise InputError(f"{name} takes whole numbers, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -159,7 +168,7 @@ class RandomVectorModel:
         # written so that a NaN entry fails too
         if not np.all((self.centers >= 0) & (self.centers <= 1)):
             raise InputError("center entries must lie in [0, 1]")
-        self.sizes = [int(s) for s in self.sizes]
+        self.sizes = [_whole(s, "sizes") for s in self.sizes]
         if len(self.sizes) != self.k or any(s < 1 for s in self.sizes):
             raise InputError("need one positive size per cluster")
         if len(self.noise) != self.k:
@@ -209,10 +218,7 @@ class RandomVectorModel:
                 raise InputError("sbm shorthand must be a JSON object")
             try:
                 return sbm_rectangular(
-                    int(block["d"]),
-                    [int(s) for s in block["sizes"]],
-                    float(block["p"]),
-                    float(block["q"]),
+                    block["d"], block["sizes"], float(block["p"]), float(block["q"])
                 )
             except KeyError as missing:
                 raise InputError(f"sbm shorthand missing field {missing}")
@@ -267,7 +273,7 @@ def sbm_rectangular(d: int, sizes: Sequence[int], p: float, q: float) -> RandomV
     """
     if not 0 <= q < p <= 1:
         raise InputError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
-    sizes = [int(s) for s in sizes]
+    d, sizes = _whole(d, "d"), [_whole(s, "sizes") for s in sizes]
     if any(s < 1 for s in sizes):
         raise InputError("cluster sizes must be positive")
     k, n = len(sizes), sum(sizes)

@@ -625,7 +625,7 @@ class TestOneGramPerSeed:
             return real_gram(M)
 
         def rows(M, G, depth):
-            # the pair engine's own Gram tiles, formed only without a caller's G
+            # the pair engine's own Gram tiles, formed only without a held G
             calls["gram"] += G is None and M.shape[0] == self.MODEL["d"]
             return real_rows(M, G, depth)
 
@@ -633,8 +633,8 @@ class TestOneGramPerSeed:
             calls["lanczos"] += 1
             return real_lanczos(*args)
 
-        for module in (linalg, bounds):
-            monkeypatch.setattr(module, "centered_gram", gram)
+        # the draw holds its Gram matrix through linalg's own binding
+        monkeypatch.setattr(linalg, "centered_gram", gram)
         # the pass reads its tile source by the name metrics imported
         monkeypatch.setattr(metrics, "gram_rows", rows)
         monkeypatch.setattr(linalg, "_lanczos_svd", lanczos)

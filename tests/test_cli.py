@@ -190,6 +190,38 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"sbm": {"d": 40.9, "sizes": [10.7, 12], "p": 0.7, "q": 0.3}},
+             "d takes whole numbers, got 40.9"),
+            ({"sbm": {"d": 40, "sizes": [2.9, True], "p": 0.7, "q": 0.3}},
+             "sizes takes whole numbers, got 2.9"),
+            ({"sbm": {"d": 40, "sizes": [12, True], "p": 0.7, "q": 0.3}},
+             "sizes takes whole numbers, got True"),
+            ({"centers": [[0.5], [0.5]], "sizes": [2, 3.5],
+              "noise": [{"family": "bernoulli-residual"}] * 2},
+             "sizes takes whole numbers, got 3.5"),
+        ],
+        ids=["fractional-d", "fractional-size", "boolean-size", "fractional-explicit-size"],
+    )
+    def test_model_size_that_is_not_a_whole_number(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--model", str(path), "--out-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "dataset.mtx").exists()
+
+    def test_model_sizes_read_whole_numbers_as_they_are(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"sbm": {"d": 40, "sizes": [12, 10.0], "p": 0.7, "q": 0.3}}))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--model", str(path), "--out-dir", str(out)]) == 0
+        assert (out / "dataset.mtx").read_text().splitlines()[1].split()[:2] == ["40", "22"]
+        assert (out / "dataset.labels.txt").read_text().split() == ["0"] * 12 + ["1"] * 10
+
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-dir-is-a-file"])
     def test_unusable_path_is_input_error(self, case, model_path, tmp_path, capsys):
         model, out = model_path, tmp_path / "out"

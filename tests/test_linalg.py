@@ -22,6 +22,13 @@ def spiked_matrix(d, n, rank, noise, seed):
     return left @ (scales[:, None] * right.T) + noise * rng.standard_normal((d, n))
 
 
+def holding_gram(A):
+    """A copy of A that holds its Gram matrix."""
+    A = la.DataMatrix(A.values, A.labels)
+    A.hold_gram()
+    return A
+
+
 def ones_with_one_unstored(d, n):
     """A CSC matrix of ones but for one unstored entry: not constant along its rows."""
     M = np.ones((d, n))
@@ -69,6 +76,32 @@ def test_only_linalg_tells_dense_from_sparse():
     assert readers and all(r.startswith("linalg.py:") for r in readers), readers
 
 
+# every function or class whose signature once took a Gram matrix
+_TAKE_NO_GRAM = (
+    "fit_uncentered_pca", "fit_centered_pca", "PairStream", "pair_compression", "pcs_sweep",
+    "_fit", "_run", "_pass", "_noise_norm",
+)
+
+
+def test_gram_matrix_crosses_no_signature():
+    """One call forms a centered Gram matrix, in linalg, and no fit or pair pass takes one."""
+    calls, params = [], {}
+    for path in sorted(Path(la.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and _ast_name(node.func) == "centered_gram":
+                calls.append(path.name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in _TAKE_NO_GRAM:
+                # a class takes its arguments through __init__
+                init = [f for f in node.body if getattr(f, "name", None) == "__init__"]
+                args = (init[0] if isinstance(node, ast.ClassDef) else node).args
+                params[node.name] = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    assert calls == ["linalg.py"]
+    assert sorted(params) == sorted(_TAKE_NO_GRAM)
+    assert {name: got & {"gram", "G"} for name, got in params.items()} == {
+        name: set() for name in _TAKE_NO_GRAM
+    }
+
+
 def test_storage_reads_are_caught():
     """The scan above finds each way of telling storage kinds apart, and passes a labels check."""
     flagged = [
@@ -114,15 +147,15 @@ class TestDataMatrix:
 
     def test_sparse_and_dense_agree_downstream(self):
         S = sp.random(300, 60, density=0.1, random_state=5, format="csc")
-        Ps = la.truncated_svd(la.DataMatrix(S), 8)
-        Pd = la.truncated_svd(la.DataMatrix(S.toarray()), 8)
+        Ps = la.fit_uncentered_pca(la.DataMatrix(S), 8)
+        Pd = la.fit_uncentered_pca(la.DataMatrix(S.toarray()), 8)
         np.testing.assert_allclose(Ps.singular_values, Pd.singular_values, rtol=1e-12)
         assert la.principal_angle(Ps, Pd) <= 1e-6
 
 
 class TestTruncatedSvd:
     def test_diagonal(self):
-        P = la.truncated_svd(la.DataMatrix(np.diag([3.0, 2.0, 1.0])), 2)
+        P = la.fit_uncentered_pca(la.DataMatrix(np.diag([3.0, 2.0, 1.0])), 2)
         np.testing.assert_allclose(P.singular_values, [3.0, 2.0])
         np.testing.assert_allclose(P.components, np.eye(3)[:2], atol=1e-12)
         assert P.driver == "dense"
@@ -130,7 +163,7 @@ class TestTruncatedSvd:
     def test_rank_one_duplicate_columns(self):
         u = np.array([1.0, 2.0, 2.0])
         A = la.DataMatrix(np.column_stack([u, u]))
-        P = la.truncated_svd(A, 2)
+        P = la.fit_uncentered_pca(A, 2)
         np.testing.assert_allclose(P.singular_values[0], np.linalg.norm(A.values, "fro"), rtol=1e-12)
         assert P.singular_values[1] <= 1e-10
 
@@ -138,7 +171,7 @@ class TestTruncatedSvd:
     def test_dense_driver_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((50, 80))
-        P = la.truncated_svd(la.DataMatrix(M), 10)
+        P = la.fit_uncentered_pca(la.DataMatrix(M), 10)
         # independent oracle: different LAPACK driver
         U, s, _ = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
         np.testing.assert_allclose(P.singular_values, s[:10], rtol=1e-8)
@@ -151,7 +184,7 @@ class TestTruncatedSvd:
         monkeypatch.setattr(la, "_GRAM_CUTOFF", 100)
         M = spiked_matrix(150, 700, rank=6, noise=1e-4, seed=seed)
         A = la.DataMatrix(M)
-        P = la.truncated_svd(A, 6, seed)
+        P = la.fit_uncentered_pca(A, 6, seed)
         assert P.driver == "lanczos" and P.residual is None
         U, s, _ = scipy.linalg.svd(M, full_matrices=False)
         np.testing.assert_allclose(P.singular_values, s[:6], rtol=1e-8)
@@ -162,18 +195,18 @@ class TestTruncatedSvd:
         # certified Gram fit resolves exactly.
         M = np.random.default_rng(7).standard_normal((600, 600))
         A = la.DataMatrix(M)
-        P = la.truncated_svd(A, 20)
+        P = la.fit_uncentered_pca(A, 20)
         U, s, _ = scipy.linalg.svd(M, full_matrices=False)
         np.testing.assert_allclose(P.singular_values, s[:20], rtol=1e-8)
         assert la.principal_angle(P, la.Projector(U[:, :20].T, s[:20])) <= 1e-6
-        again = la.truncated_svd(A, 20)
+        again = la.fit_uncentered_pca(A, 20)
         assert P.components.tobytes() == again.components.tobytes()
         assert P.singular_values.tobytes() == again.singular_values.tobytes()
         assert P.driver == "gram" and P.residual <= la.RESIDUAL_RTOL
 
     def test_auto_driver_exact_on_spiked_input(self):
         M = spiked_matrix(600, 600, rank=6, noise=1e-4, seed=3)
-        P = la.truncated_svd(la.DataMatrix(M), 6)
+        P = la.fit_uncentered_pca(la.DataMatrix(M), 6)
         assert P.driver == "gram" and P.residual <= la.RESIDUAL_RTOL
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:6], rtol=1e-8)
@@ -183,7 +216,7 @@ class TestTruncatedSvd:
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 5)
         monkeypatch.setattr(la, "_GRAM_CUTOFF", 5)
         M = np.random.default_rng(4).standard_normal((30, 20))
-        P = la.truncated_svd(la.DataMatrix(M), 19)
+        P = la.fit_uncentered_pca(la.DataMatrix(M), 19)
         assert P.driver == "dense"
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:19], rtol=1e-10)
@@ -192,7 +225,7 @@ class TestTruncatedSvd:
         monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
         monkeypatch.setattr(la, "_GRAM_CUTOFF", 0)
         M = np.random.default_rng(4).standard_normal((30, 20))
-        P = la.truncated_svd(la.DataMatrix(sp.csc_array(M)), 19)
+        P = la.fit_uncentered_pca(la.DataMatrix(sp.csc_array(M)), 19)
         assert P.driver == "dense"
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:19], rtol=1e-10)
@@ -246,18 +279,18 @@ class TestTruncatedSvd:
         A = la.DataMatrix(np.ones((3, 4)))
         for bad in (0, 4):
             with pytest.raises(InputError):
-                la.truncated_svd(A, bad)
+                la.fit_uncentered_pca(A, bad)
 
     def test_gap_warning_on_degenerate_cut(self):
         A = la.DataMatrix(np.diag([3.0, 2.0, 2.0, 1.0]))
-        assert la.truncated_svd(A, 2).gap_warning
-        assert not la.truncated_svd(A, 1).gap_warning
-        assert not la.truncated_svd(A, 4).gap_warning  # no s_{k'+1} exists
+        assert la.fit_uncentered_pca(A, 2).gap_warning
+        assert not la.fit_uncentered_pca(A, 1).gap_warning
+        assert not la.fit_uncentered_pca(A, 4).gap_warning  # no s_{k'+1} exists
 
     def test_sign_convention_is_deterministic(self):
         M = spiked_matrix(40, 50, rank=4, noise=1e-3, seed=9)
-        P1 = la.truncated_svd(la.DataMatrix(M), 4)
-        P2 = la.truncated_svd(la.DataMatrix(M.copy()), 4)
+        P1 = la.fit_uncentered_pca(la.DataMatrix(M), 4)
+        P2 = la.fit_uncentered_pca(la.DataMatrix(M.copy()), 4)
         np.testing.assert_array_equal(P1.components, P2.components)
         lead = np.abs(P1.components).argmax(axis=1)
         assert (P1.components[np.arange(4), lead] > 0).all()
@@ -317,13 +350,13 @@ class TestGramSvd:
 
 
 class TestGramFit:
-    """The uncentered ``auto`` fit read off a caller's centered Gram matrix."""
+    """The uncentered ``auto`` fit read off the matrix's held centered Gram matrix."""
 
     def test_matches_dense_oracle_when_d_far_above_n(self, monkeypatch):
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
         M = spiked_matrix(1500, 120, rank=3, noise=1e-2, seed=8) + 5.0
         A = la.DataMatrix(M)
-        P = la.fit_uncentered_pca(A, 3, gram=la.centered_gram(M))
+        P = la.fit_uncentered_pca(holding_gram(A), 3)
         assert P.driver == "gram"
         U, s, _ = scipy.linalg.svd(M, full_matrices=False)
         np.testing.assert_allclose(P.singular_values, s[:3], rtol=1e-10)
@@ -332,6 +365,24 @@ class TestGramFit:
         without = la.fit_uncentered_pca(A, 3)
         assert without.driver == "gram" and without.residual <= la.RESIDUAL_RTOL
         assert la.principal_angle(P, without) <= 1e-8
+
+    def test_held_gram_of_matrix_past_float64_range_is_not_read(self):
+        # G's entries of a matrix times 1e200 overflow float64: the matrix
+        # holds no Gram matrix, and the fit and a pair pass both run scaled
+        from pcacompress import metrics
+
+        M = np.random.default_rng(12).random((700, 600)) * 1e200
+        A = la.DataMatrix(M, np.arange(600) % 3)
+        without = la.fit_uncentered_pca(A, 3)
+        A.hold_gram()
+        assert A.gram is None
+        P = la.fit_uncentered_pca(A, 3)
+        assert P.driver == without.driver == "gram"
+        np.testing.assert_array_equal(P.components, without.components)
+        np.testing.assert_array_equal(P.singular_values, without.singular_values)
+        table = metrics.ClusterPairTable(A.labels)
+        metrics.pair_compression(A, P, (table,))
+        assert table.count.sum() == 600 * 599 // 2
 
     def test_centered_gram_matches_explicit_centering(self):
         M = np.random.default_rng(9).random((700, 40)) + 100.0
@@ -349,7 +400,9 @@ class TestGramFit:
         M = spiked_matrix(400, 60, rank=2, noise=1e-3, seed=11)
         A = la.DataMatrix(M)
         G, mean = la.centered_gram(M)
-        P = la.fit_uncentered_pca(A, 2, gram=(G * 1.01, mean))
+        monkeypatch.setattr(la, "centered_gram", lambda values: (G * 1.01, mean))
+        A.hold_gram()
+        P = la.fit_uncentered_pca(A, 2)
         assert P.driver == "lanczos" and P.residual is None
         s = scipy.linalg.svd(M, compute_uv=False)
         np.testing.assert_allclose(P.singular_values, s[:2], rtol=1e-8)
@@ -364,7 +417,7 @@ class TestFitResidual:
         A = la.DataMatrix(M)
         S = la.DataMatrix(sp.csc_array(M))
         fits = [
-            la.fit_uncentered_pca(A, 3, gram=la.centered_gram(M)),
+            la.fit_uncentered_pca(holding_gram(A), 3),
             la.fit_uncentered_pca(A, 3),
             la.fit_centered_pca(A, 3),
             la.fit_uncentered_pca(S, 3),
@@ -376,7 +429,7 @@ class TestFitResidual:
         assert [P.driver for P in fits] == ["lanczos"] * 3
         assert all(P.residual is None for P in fits)
         zero = np.zeros((150, 120))
-        P = la.fit_uncentered_pca(la.DataMatrix(zero), 3, gram=la.centered_gram(zero))
+        P = la.fit_uncentered_pca(holding_gram(la.DataMatrix(zero)), 3)
         assert P.driver == "gram" and P.residual == 0.0
 
     def test_residual_is_relative_to_each_singular_value(self):
@@ -390,10 +443,10 @@ class TestFitResidual:
 
     def test_exact_fits_record_none(self, monkeypatch):
         M = np.random.default_rng(16).standard_normal((200, 150))
-        assert la.truncated_svd(la.DataMatrix(M), 10).residual is None
+        assert la.fit_uncentered_pca(la.DataMatrix(M), 10).residual is None
         monkeypatch.setattr(la, "_DENSE_CUTOFF", 100)
         monkeypatch.setattr(la, "_GRAM_CUTOFF", 100)
-        P = la.truncated_svd(la.DataMatrix(M), 10)
+        P = la.fit_uncentered_pca(la.DataMatrix(M), 10)
         assert P.driver == "lanczos" and P.residual is None
 
 
@@ -402,7 +455,7 @@ class TestPcaFits:
         M = spiked_matrix(60, 45, rank=5, noise=1e-2, seed=3)
         A = la.DataMatrix(M)
         P = la.fit_uncentered_pca(A, 5)
-        Q = la.truncated_svd(A, 5)
+        Q = la._fit(A, 5, 0)
         np.testing.assert_array_equal(P.components, Q.components)
         np.testing.assert_array_equal(P.singular_values, Q.singular_values)
         assert not P.centered and P.mean_vector is None
@@ -633,8 +686,8 @@ class TestSubspacePerturbation:
         labels[:k] = np.arange(k)
         A = 40.0 * centers[:, labels]
         E = rng.uniform(-1, 1, size=(d, n))
-        exact = la.truncated_svd(la.DataMatrix(A), k)
-        noisy = la.truncated_svd(la.DataMatrix(A + E), k)
+        exact = la.fit_uncentered_pca(la.DataMatrix(A), k)
+        noisy = la.fit_uncentered_pca(la.DataMatrix(A + E), k)
         noise_norm = la.spectral_norm(la.build_symmetric_embedding(E))
         s_k = scipy.linalg.svd(A, compute_uv=False)[k - 1]
         assert la.principal_angle(exact, noisy) <= 2 * noise_norm / s_k
@@ -691,12 +744,11 @@ class TestBitsMatchFloat64:
             bits, floats = (la.DataMatrix(A.values[:, :300], A.labels[:300]) for A in pair)
         if driver == "lanczos":
             monkeypatch.setattr(la, "_GRAM_CUTOFF", 0)
-        # the gram driver reads the caller's G, then forms its own
-        for caller in (True, False) if driver == "gram" else (False,):
+        # the gram driver reads the held G, then forms its own
+        for held in (True, False) if driver == "gram" else (False,):
             fits = []
             for A in (bits, floats):
-                gram = la.centered_gram(A.values) if caller else None
-                fits.append(la.fit_uncentered_pca(A, 4, gram=gram))
+                fits.append(la.fit_uncentered_pca(holding_gram(A) if held else A, 4))
             assert [P.driver for P in fits] == [driver, driver]
             self.close(fits[0].singular_values, fits[1].singular_values)
             self.close(fits[0].components, fits[1].components)
@@ -717,7 +769,7 @@ class TestBitsMatchFloat64:
         tables = []
         for A in pair:
             table = metrics.ClusterPairTable(A.labels, extremes=True)
-            metrics.pair_compression(A, P, (table,), gram=la.centered_gram(A.values)[0])
+            metrics.pair_compression(holding_gram(A), P, (table,))
             tables.append(table)
         pairs = bits.n * (bits.n - 1) // 2
         assert tables[0].recomputed == tables[1].recomputed == pairs
@@ -736,7 +788,7 @@ class TestBitsMatchFloat64:
         model = sbm_rectangular(600, [260, 260], 0.6, 0.3)
         norms = []
         for A in pair:
-            got, used = bounds._noise_norm(model, A, *la.centered_gram(A.values))
+            got, used = bounds._noise_norm(model, holding_gram(A))
             assert used == source
             norms.append(got)
         self.close(norms[0], norms[1])

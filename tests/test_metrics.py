@@ -42,10 +42,10 @@ def small_labeled_matrix(seed=0, d=6, n=8, k=2):
     return DataMatrix(X, labels=labels)
 
 
-def collect(A, P, pair_policy="exact"):
+def collect(A, P, sample=None):
     """Every pair of one pass, concatenated from its chunks by a test-side sink."""
     chunks = []
-    stream = pair_compression(A, P, [SimpleNamespace(update=chunks.append)], pair_policy)
+    stream = pair_compression(A, P, [SimpleNamespace(update=chunks.append)], sample)
     cat = lambda name: np.concatenate([getattr(c, name) for c in chunks])  # noqa: E731
     pairs = PairSet(
         cat("i"), cat("j"), cat("pre"), cat("post"), A.labels, sum(c.recomputed for c in chunks)
@@ -54,9 +54,9 @@ def collect(A, P, pair_policy="exact"):
     return pairs
 
 
-def summarize(A, P, pair_policy="exact"):
+def summarize(A, P, sample=None):
     table = ClusterPairTable(A.labels)
-    pair_compression(A, P, (table,), pair_policy)
+    pair_compression(A, P, (table,), sample)
     return cluster_summary(table)
 
 
@@ -169,7 +169,7 @@ class TestPairCompression:
             (a, b): (pre, post)
             for a, b, pre, post in zip(exact.i, exact.j, exact.pre, exact.post)
         }
-        sampled = collect(A, P, ("sampled", 50, 11))
+        sampled = collect(A, P, (50, 11))
         assert len(sampled.pre) == 50
         seen = set()
         for a, b, pre, post in zip(sampled.i, sampled.j, sampled.pre, sampled.post):
@@ -182,8 +182,8 @@ class TestPairCompression:
     def test_sampled_policy_is_deterministic(self):
         A = small_labeled_matrix(seed=9, d=10, n=15)
         P = fit_uncentered_pca(A, 2)
-        one = collect(A, P, ("sampled", 30, 4))
-        two = collect(A, P, ("sampled", 30, 4))
+        one = collect(A, P, (30, 4))
+        two = collect(A, P, (30, 4))
         np.testing.assert_array_equal(one.i, two.i)
         np.testing.assert_array_equal(one.pre, two.pre)
 
@@ -223,8 +223,8 @@ class TestPairCompression:
         store = (lambda M: M) if density == 1.0 else sp.csc_array
         unit, scaled = (DataMatrix(store(M), labels=labels) for M in (X, scale * X))
         P = fit_uncentered_pca(unit, 5)
-        for policy in ("exact", ("sampled", 500, 1)):
-            want, got = (summarize(A, P, policy).rows for A in (unit, scaled))
+        for sample in (None, (500, 1)):
+            want, got = (summarize(A, P, sample).rows for A in (unit, scaled))
             for w, g in zip(want, got):
                 for group in ("intra", "inter"):
                     w_cell, g_cell = getattr(w, group), getattr(g, group)
@@ -244,9 +244,7 @@ class TestPairCompression:
         A = small_labeled_matrix()
         P = fit_uncentered_pca(A, 2)
         with pytest.raises(InputError):
-            pair_compression(A, P, (), "approximate")
-        with pytest.raises(InputError):
-            pair_compression(A, P, (), ("sampled", 10**9, 0))
+            pair_compression(A, P, (), (10**9, 0))
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_exact_agrees_with_sampled_all_pairs(self, sparse):
@@ -268,7 +266,7 @@ class TestPairCompression:
         A = DataMatrix(sp.csc_array(X) if sparse else X)
         P = fit_uncentered_pca(A, 5)
         exact = collect(A, P)
-        sampled = collect(A, P, ("sampled", len(i), 0))
+        sampled = collect(A, P, (len(i), 0))
         np.testing.assert_array_equal(exact.i, sampled.i)
         np.testing.assert_array_equal(exact.j, sampled.j)
         np.testing.assert_allclose(exact.pre, sampled.pre, rtol=1e-9, atol=0)
@@ -292,7 +290,7 @@ class TestPairCompression:
             P = Projector(Q.T, [5.0, 4.0, 3.0, 2.0, 1.0])
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             table = ClusterPairTable(np.zeros(A.n, dtype=np.int64))
-            pairs = pair_compression(A, P, (table,), ("sampled", 20000, 0))
+            pairs = pair_compression(A, P, (table,), (20000, 0))
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             assert len(pairs) == table.count.sum() == 20000
             print((after - before) / 1024.0)

@@ -138,6 +138,11 @@ class TestSbmRectangular:
             mo.sbm_rectangular(10, [5, 5], p=0.3, q=0.3)
         with pytest.raises(InputError):
             mo.sbm_rectangular(10, [5, 5], p=0.2, q=0.4)
+        # a size or dimension that is not a whole number is not truncated
+        for d, sizes in ((10.5, [5, 5]), (10, [5.5, 5]), (10, [5, True])):
+            with pytest.raises(InputError):
+                mo.sbm_rectangular(d, sizes, p=0.7, q=0.3)
+        assert mo.sbm_rectangular(10.0, [5.0, 5], p=0.7, q=0.3).sizes == [5, 5]
 
     def test_noiseless_block_indicator(self):
         model = mo.sbm_rectangular(8, [3, 3], p=1.0, q=0.0)
