@@ -435,9 +435,6 @@ class BoundRecord:
     trials: int
     vacuous: bool
 
-    def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "clusters": list(self.clusters)}
-
 
 @dataclass
 class BoundReport:
@@ -457,18 +454,6 @@ class BoundReport:
             if rec.bound == bound and rec.clusters == clusters:
                 return rec
         raise KeyError((bound, clusters))
-
-    def to_dict(self) -> dict:
-        return {
-            "s_k_analytic": self.s_k_analytic,
-            "s_k_empirical": self.s_k_empirical,
-            "sigma_condition_met": self.sigma_condition_met,
-            "trials": self.trials,
-            "fit_drivers": self.fit_drivers,
-            "fit_residuals": self.fit_residuals,
-            "noise_norm_sources": self.noise_norm_sources,
-            "records": [r.to_dict() for r in self.records],
-        }
 
 
 def _record(bound, clusters, kind, analytic, worst, vacuous, trials) -> BoundRecord:

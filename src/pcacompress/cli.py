@@ -407,7 +407,7 @@ def cmd_verify_bounds(args) -> Report:
         C0=args.c0,
         use_empirical_sk=args.empirical_sk,
     )
-    doc = report.to_dict()
+    doc = dataclasses.asdict(report)
     header = ("bound", "clusters", "analytic", "empirical", "violations", "trials", "vacuous")
     rows = []
     for record in doc["records"]:
@@ -451,19 +451,12 @@ def cmd_cluster_compare(args) -> Report:
     kprime = args.pcs if args.pcs is not None else k
     seeds = [args.seed + t for t in range(args.runs)]
     report = pipeline_compare(A, k, kprime, seeds, neighbors=args.neighbors)
-    rows = [
-        [arm, r.seed, r.ari, r.nmi, r.accuracy]
-        for arm, results in report.arms.items()
-        for r in results
-    ]
-    rows += [
-        [arm, "median", report.median(arm, "ari"), report.median(arm, "nmi"),
-         report.median(arm, "accuracy")]
-        for arm in report.arms
-    ]
-    tables = {"comparison.tsv": (("arm", "seed", "ari", "nmi", "accuracy"), rows)}
+    doc = {**dataclasses.asdict(report), "medians": report.medians()}
+    header = ("arm", "seed", "ari", "nmi", "accuracy")
+    rows = [[arm, *(r[key] for key in header[1:])] for arm, rs in doc["arms"].items() for r in rs]
+    rows += [[arm, "median", *(m[key] for key in header[2:])] for arm, m in doc["medians"].items()]
     extra = {"clusters": k, "neighbors": args.neighbors, "runs": args.runs}
-    return Report("comparison.json", report.to_dict(), tables, extra=extra)
+    return Report("comparison.json", doc, {"comparison.tsv": (header, rows)}, extra=extra)
 
 
 def cmd_sweep_pcs(args) -> Report:

@@ -14,7 +14,7 @@ Lloyd's iterations need only inner products, so k-means runs in one of
 two forms, chosen from the points' shape. Points with fewer coordinates
 than points (n > d, as after projection) store each center as
 coordinates and read x·μ from X Cᵀ. Points with at least as many
-coordinates as points (n <= d, and n² within ``linalg._DENSIFY_BUDGET``,
+coordinates as points (n <= d, and n² within ``linalg.DENSIFY_BUDGET``,
 as for the raw columns of a wide matrix) take the Gram form of kernel
 k-means (Dhillon, Guan & Kulis 2004): K = XXᵀ is formed once per
 :class:`KMeansPoints`, so once for any number of seeds,
@@ -26,7 +26,7 @@ data. On discrete data (0/1, or log1p of 0/1) equal nonzero counts give
 exactly tied distances, which the two forms' roundoff may break
 differently, so their labelings there can differ.
 
-Distances are measured on points scaled by ``linalg.range_scale``, an
+Distances are measured on points scaled by ``linalg.range_scaled``, an
 exact power of two, so squares do not leave float64 at either end of
 its range; k-means reports its inertia in the input's units.
 """
@@ -42,8 +42,8 @@ import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
 from .linalg import (
-    _DENSIFY_BUDGET, DataMatrix, as_dense, checked_matrix, fit_uncentered_pca, project_columns,
-    range_scale, squared_norms,
+    DENSIFY_BUDGET, DataMatrix, as_dense, checked_matrix, fit_uncentered_pca, project_columns,
+    range_scaled, squared_norms,
 )
 
 _GAIN_EPS = 1e-12
@@ -81,12 +81,6 @@ def _sq_distances(sq_norms, cross, c_norms) -> np.ndarray:
     out = sq_norms[:, None] - 2.0 * cross + c_norms[None, :]
     np.clip(out, 0.0, None, out=out)
     return out
-
-
-def _scaled(X):
-    """``(X * s, s)`` with s from :func:`~pcacompress.linalg.range_scale`; X itself when s is 1."""
-    scale = range_scale(X)
-    return (X if scale == 1.0 else X * scale), scale
 
 
 def _one_hot(labels: np.ndarray, k: int):
@@ -190,9 +184,9 @@ class KMeansPoints:
     """
 
     def __init__(self, points):
-        X, self.scale = _scaled(checked_matrix(points, "csr", "points"))
+        X, self.scale = range_scaled(checked_matrix(points, "csr", "points"))
         n, self.shape = X.shape[0], X.shape
-        self.form = _GramForm(X) if n <= X.shape[1] and n * n <= _DENSIFY_BUDGET else _PointForm(X)
+        self.form = _GramForm(X) if n <= X.shape[1] and n * n <= DENSIFY_BUDGET else _PointForm(X)
 
 
 def kmeans(prepared: KMeansPoints, k: int, seed: int = 0) -> Labeling:
@@ -253,7 +247,7 @@ def knn_graph(points, m: int = 20) -> NeighborGraph:
     n = X.shape[0]
     if not 1 <= m < n:
         raise InputError(f"need 1 <= m < n={n}, got m={m}")
-    X, _ = _scaled(X)
+    X, _ = range_scaled(X)
     sq_norms = squared_norms(X, 1)
     nearest = np.empty((n, m), dtype=np.int64)
     for start in range(0, n, _KNN_BLOCK):
@@ -475,10 +469,6 @@ class ArmResult:
     nmi: float
     accuracy: float
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "ari": self.ari, "nmi": self.nmi,
-                "accuracy": self.accuracy}
-
 
 @dataclass
 class ComparisonReport:
@@ -490,23 +480,9 @@ class ComparisonReport:
     def median(self, arm: str, metric: str = "ari") -> float:
         return float(np.median([getattr(r, metric) for r in self.arms[arm]]))
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "kprime": self.kprime,
-            "neighbors": self.neighbors,
-            "arms": {
-                name: [r.to_dict() for r in results]
-                for name, results in self.arms.items()
-            },
-            "medians": {
-                name: {
-                    metric: self.median(name, metric)
-                    for metric in ("ari", "nmi", "accuracy")
-                }
-                for name in self.arms
-            },
-        }
+    def medians(self) -> Dict[str, Dict[str, float]]:
+        """Each arm's median of each score, the one field ``dataclasses.asdict`` does not give."""
+        return {arm: {m: self.median(arm, m) for m in ("ari", "nmi", "accuracy")} for arm in self.arms}
 
 
 ARM_NAMES = ("kmeans-raw", "kmeans-pca", "graph-pca")

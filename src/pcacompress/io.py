@@ -23,6 +23,8 @@ from .errors import InputError, ParseError
 from .linalg import DataMatrix, stored
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
+# headers read: real values, or integer counts (Cell Ranger's matrix.mtx.gz), both into float64
+_MM_READ = {MM_HEADER.lower(), MM_HEADER.lower().replace(" real ", " integer ")}
 _MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 # stored entries, on average, per column block that write_matrix formats at
 # once; the block's strings cost about 200 bytes per entry while it does
@@ -120,9 +122,10 @@ def _read_mm_preamble(lines, path) -> Tuple[int, int, int, int]:
     if first is None:
         raise ParseError("empty file", path=path, line=1)
     position, header = first
-    if header.lower() != MM_HEADER.lower():
+    if header.lower() not in _MM_READ:
         raise ParseError(
-            f"expected header {MM_HEADER!r}, got {header!r}", path=path, line=position
+            f"expected header {MM_HEADER!r}, or its field 'integer', got {header!r}",
+            path=path, line=position,
         )
     for position, text in lines:
         stripped = text.strip()
@@ -383,9 +386,8 @@ def write_matrix(A: DataMatrix, path) -> None:
             fh.write("".join(f"{r} {c} {v!r}\n" for r, c, v in entries))
 
 
-def write_labels(labels: Sequence, path, names: Optional[List[str]] = None) -> None:
-    """One label per line; integer ids unless names are supplied."""
+def write_labels(labels: Sequence, path) -> None:
+    """One integer id per line."""
     with _open_text(path) as fh:
         for value in labels:
-            token = names[int(value)] if names else str(int(value))
-            fh.write(token + "\n")
+            fh.write(f"{int(value)}\n")

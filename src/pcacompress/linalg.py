@@ -6,12 +6,16 @@ entry (an all-Bernoulli draw from :mod:`~pcacompress.models`; a float64
 copy would take 8 bytes per entry). This is the one module that tells
 the kinds apart. The rest of the library reads storage through its
 primitives (:func:`checked_matrix`, :func:`stored`, :func:`as_dense`,
-:func:`squared_norms`, :func:`product`) and its Gram products (the Gram
-matrix a :class:`DataMatrix` holds, the pair engine's tiles from
-:func:`gram_rows`, and :func:`gram_block` of projected coordinates).
+:func:`squared_norms`, :func:`product`, :func:`direct_distances`) and
+its Gram products (the Gram matrix a :class:`DataMatrix` holds, the pair
+engine's tiles from :func:`gram_rows`, and :func:`gram_block` of
+projected coordinates), and scales a matrix whose squares would leave
+float64 by :func:`range_scaled`, the one scaling. Every centering reads
+one mean column, row sums divided by n (:meth:`DataMatrix.row_means`).
 Bits are read in float64 blocks of at most ``_BLOCK_ENTRIES`` entries:
 :func:`product` sums over n in row blocks and over d in column blocks,
-:func:`centered_gram` and :func:`gram_rows` center row blocks, and
+:func:`centered_gram` and :func:`gram_rows` center row blocks,
+:func:`direct_distances` differences blocks of column pairs, and
 :func:`as_dense` (which the dense driver reads) and
 :func:`spectral_norm` convert to float64, and a Gram fit's own blocks
 center row or column blocks. Sums of 0/1 entries are exact integers, so
@@ -27,14 +31,14 @@ Every fit follows one policy, with no caller-chosen driver, in three
 size regimes of ``m = min(d, n)``:
 
 - ``dense``, for m up to ``_DENSE_CUTOFF`` when the input is dense, or
-  sparse with at most ``_DENSIFY_BUDGET`` cells: an exact SVD by
+  sparse with at most ``DENSIFY_BUDGET`` cells: an exact SVD by
   numpy's LAPACK;
 - ``gram``, a certified Gram fit. When the matrix holds its Gram matrix
   (:meth:`DataMatrix.hold_gram`), for an uncentered fit, whatever m: the
   top k'+1 eigenpairs of the uncentered Gram matrix derived from it, by
   scipy's subset ``eigh``.
   Otherwise for m up to ``_GRAM_CUTOFF``: the Gram matrix of the smaller
-  side, formed from dense centered blocks (scaled by :func:`range_scale`),
+  side, formed from dense centered blocks (scaled by :func:`range_scaled`),
   solved whole by numpy's ``eigh``. The eigenvectors are one side's
   singular vectors, and A applied to them over S gives the other's (Halko,
   Martinsson & Tropp 2011, section 5.1). The fit is kept only when each
@@ -89,11 +93,10 @@ _GRAM_CUTOFF = 1000
 
 # Budget (entry count) under which a sparse matrix may be densified for
 # the exact dense driver; beyond it the certified drivers run instead.
-_DENSIFY_BUDGET = 50_000_000
+DENSIFY_BUDGET = 50_000_000
 
 # Entries per dense working block: a centered row block of
-# :func:`_centered_row_blocks`, or a block of the pair engine's direct
-# differences.
+# :func:`_centered_row_blocks`, or a block of :func:`direct_distances`.
 _BLOCK_ENTRIES = 1 << 20
 
 # stored share of entries from which a sparse input's all-pairs Gram product
@@ -169,6 +172,34 @@ def product(M, X: np.ndarray, transpose: bool = False) -> np.ndarray:
     return out
 
 
+def direct_distances(M, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances between columns ``i[t]`` and ``j[t]`` of M, of any storage kind.
+
+    Direct differences of the columns as float64, taken over blocks of
+    pairs whose differences hold at most about ``_BLOCK_ENTRIES`` entries.
+    """
+    sq = np.empty(len(i))
+    # entries of one pair's difference: at most d, and at most the stored
+    # entries of two columns
+    width = min(2.0 * stored(M).size / M.shape[1], M.shape[0])
+    step = max(1, int(_BLOCK_ENTRIES // max(1.0, width)))
+    for start in range(0, len(i), step):
+        t = slice(start, start + step)
+        diff = M[:, i[t]].astype(np.float64, copy=False) - M[:, j[t]]
+        # elementwise for a dense and a sparse array alike
+        sq[t] = np.asarray((diff * diff).sum(axis=0)).ravel()
+    return np.sqrt(sq, out=sq)
+
+
+def _row_means(M) -> np.ndarray:
+    """M's mean column, the one every centering reads: row sums over n, as numpy's mean is."""
+    # a float64 sum divided in place, as numpy's mean does, so no second d-vector is
+    # held; a sparse array's own mean multiplies by 1/n, inexact on a constant row
+    sums = M.sum(axis=1, dtype=np.float64)
+    sums /= M.shape[1]
+    return sums
+
+
 class DataMatrix:
     """A d x n feature-by-sample matrix: dense float64, CSC sparse, or bits.
 
@@ -226,17 +257,15 @@ class DataMatrix:
         return int(self.labels.max()) + 1
 
     def row_means(self) -> np.ndarray:
-        # a sum divided by n, as numpy's mean is: a sparse array's mean
-        # multiplies by 1/n, which leaves a constant row's mean inexact
-        return self.values.sum(axis=1) / self.n
+        return _row_means(self.values)
 
     def hold_gram(self) -> None:
         """Hold the values' ``(G, mean)`` from :func:`centered_gram` as ``gram``, for its readers.
 
-        The one rule for reading a held G: values whose :func:`range_scale` is not 1 hold none,
+        The one rule for reading a held G: values whose :func:`_range_scale` is not 1 hold none,
         since G's entries would leave float64.
         """
-        self._gram = centered_gram(self.values) if range_scale(self.values) == 1.0 else None
+        self._gram = centered_gram(self.values) if _range_scale(self.values) == 1.0 else None
 
     gram = property(lambda self: self._gram, doc="The ``(G, mean)`` :meth:`hold_gram` holds, or None.")
 
@@ -376,12 +405,7 @@ def _row_sliceable(M):
     return sp.csr_array(M) if sp.issparse(M) and M.format != "csr" else M
 
 
-def _mean_column(M) -> np.ndarray:
-    """M's mean column, as :func:`centered_gram` returns it."""
-    return np.asarray(M.mean(axis=1)).reshape(M.shape[0])
-
-
-def range_scale(M) -> float:
+def _range_scale(M) -> float:
     """A power of two bringing M's largest |entry| into [1/2, 1), or 1 when none is needed.
 
     Squares of entries past 2^256 overflow float64 in sums over a
@@ -396,6 +420,17 @@ def range_scale(M) -> float:
         return 1.0
     # 2^1023 is the largest power of two; a subnormal top stays below 1
     return math.ldexp(1.0, -max(math.frexp(top)[1], -1023))
+
+
+def range_scaled(M):
+    """``(M * scale, scale)``, ``scale`` the power of two of :func:`_range_scale`; M itself when 1.
+
+    The one scaling of the library: squares of the scaled entries, and so
+    Gram entries and squared distances, stay in float64, and a distance or
+    singular value of the scaled M divided by ``scale`` is M's.
+    """
+    scale = _range_scale(M)
+    return (M if scale == 1.0 else M * scale), scale
 
 
 def _centered_row_blocks(R, mean, start: int = 0, rows: Optional[int] = None):
@@ -427,7 +462,7 @@ def centered_gram(M):
     from scipy.linalg.blas import dsyrk
 
     n = M.shape[1]
-    R, mean = _row_sliceable(M), _mean_column(M)
+    R, mean = _row_sliceable(M), _row_means(M)
     G = np.zeros((n, n), order="F")
     for block in _centered_row_blocks(R, mean):
         # G's upper triangle += block^T block, in place: no n x n temporary per block
@@ -453,7 +488,7 @@ def gram_rows(M, G: Optional[np.ndarray], depth: int):
         return np.diag(G).copy(), lambda a, b: G[a:b, a:]
     if sp.issparse(M) and M.nnz < DENSE_GRAM_DENSITY * d * n:
         return squared_norms(M, 0), lambda a, b: (M[:, a:b].T @ M[:, a:]).toarray()
-    R, mean = _row_sliceable(M), _mean_column(M)
+    R, mean = _row_sliceable(M), _row_means(M)
     # row blocks as deep as a tile: the tile's product runs at BLAS speed,
     # and a block is no larger than the tile
     g = np.zeros(n)
@@ -589,18 +624,6 @@ def _is_zero(op: _Operator) -> bool:
     return bool(((as_dense(M.min(axis=1)) == mean) & (as_dense(M.max(axis=1)) == mean)).all())
 
 
-def _scaled(op: _Operator):
-    """``(op, scale)``: op times :func:`range_scale`'s power of two, op itself when that is 1.
-
-    A^T A's entries leave float64 at either end of its range; the scaled
-    operator's singular values are divided by ``scale`` to give op's.
-    """
-    scale = range_scale(op.values)
-    if scale != 1.0:
-        op = _Operator(op.values * scale, None if op.mean is None else op.mean * scale)
-    return op, scale
-
-
 def _lanczos_svd(op: _Operator, k: int, seed: int):
     """Top k+1 singular triplets by ARPACK on the implicit (scaled) operator.
 
@@ -636,9 +659,11 @@ def _fit(A: DataMatrix, k: int, seed: int, mean=None) -> Projector:
         raise InputError(f"k'={k} out of range for a {d}x{n} matrix")
     op = _Operator(A.values, mean)
     driver, residual = "dense", None
-    if m > _DENSE_CUTOFF or (A.is_sparse and d * n > _DENSIFY_BUDGET):
-        # one scaled operator for both drivers; a held G is of uncentered values
-        scaled, scale = _scaled(op)
+    if m > _DENSE_CUTOFF or (A.is_sparse and d * n > DENSIFY_BUDGET):
+        # one scaled operator for both drivers, since A^T A's entries leave
+        # float64 at either end of its range; a held G is of uncentered values
+        values, scale = range_scaled(A.values)
+        scaled = _Operator(values, None if mean is None else mean * scale)
         held = A.gram if mean is None else None
         if held is not None or m <= _GRAM_CUTOFF:
             U, s, residual = _gram_fit(scaled, k, held)

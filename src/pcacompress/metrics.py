@@ -18,10 +18,12 @@ holding its cut points), and the extra-component split's counts
 strict upper triangle, each with its block of the Gram matrix from
 :func:`~pcacompress.linalg.gram_rows`, so no per-pair array outlives
 its chunk and memory grows with n times the tile, not with the pair
-count. :func:`pair_compression` reduces one pass into the caller's
-sinks and returns its :class:`PairStream`; the summaries read the
-filled sinks, and the curve takes the stream and its filled histogram
-for its second pass.
+count; sampled pairs, and pairs whose Gram distance would lose its
+digits, are :func:`~pcacompress.linalg.direct_distances`.
+:func:`pair_compression` reduces one pass into the caller's sinks and
+returns its :class:`PairStream`; the summaries read the filled sinks,
+and the curve takes the stream and its filled histogram for its second
+pass.
 
 Pairs whose projected distance is negligible relative to the original
 distance (below 1e-12 of it) are "maximally compressed": their ratio is
@@ -38,8 +40,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import (
-    _BLOCK_ENTRIES, DataMatrix, Projector, fit_centered_pca, fit_uncentered_pca, gram_block,
-    gram_rows, product, project_columns, range_scale, stored,
+    DataMatrix, Projector, direct_distances, fit_centered_pca, fit_uncentered_pca, gram_block,
+    gram_rows, product, project_columns, range_scaled,
 )
 
 DEGENERATE_RTOL = 1e-12
@@ -111,25 +113,6 @@ def _sampled_pairs(n: int, sample: Optional[Tuple[int, int]]):
     return _triangular_decode(chosen, n)
 
 
-def _direct_distances(M, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances between columns ``i[t]`` and ``j[t]`` of M, of any storage kind.
-
-    Direct differences of the columns as float64, taken over blocks of
-    bounded size.
-    """
-    sq = np.empty(len(i))
-    # entries of one pair's difference: at most d, and at most the stored
-    # entries of two columns
-    width = min(2.0 * stored(M).size / M.shape[1], M.shape[0])
-    step = max(1, int(_BLOCK_ENTRIES // max(1.0, width)))
-    for start in range(0, len(i), step):
-        t = slice(start, start + step)
-        diff = M[:, i[t]].astype(np.float64, copy=False) - M[:, j[t]]
-        # elementwise for a dense and a sparse array alike
-        sq[t] = np.asarray((diff * diff).sum(axis=0)).ravel()
-    return np.sqrt(sq, out=sq)
-
-
 def _gram_distances(block, g, upper, i, j, M) -> Tuple[np.ndarray, int]:
     """Distances of pairs (i, j) of M's columns from Gram entries ``block[upper]``.
 
@@ -141,7 +124,7 @@ def _gram_distances(block, g, upper, i, j, M) -> Tuple[np.ndarray, int]:
     sq = scale - 2.0 * block[upper]
     direct = np.flatnonzero(sq <= GRAM_RECOMPUTE_RTOL * scale)
     np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
-    sq[direct] = _direct_distances(M, i[direct], j[direct])
+    sq[direct] = direct_distances(M, i[direct], j[direct])
     return sq, len(direct)
 
 
@@ -185,8 +168,8 @@ def _sampled_parts(M, sides, sample):
     """The sampled pairs, chunk by chunk, as :func:`_exact_parts` yields them: direct differences."""
     for start in range(0, len(sample[0]), _CHUNK_PAIRS):
         i, j = (index[start : start + _CHUNK_PAIRS] for index in sample)
-        posts = [_direct_distances(Y[:w], i, j) for Y, widths in sides for w in widths]
-        yield i, j, _direct_distances(M, i, j), posts, 0
+        posts = [direct_distances(Y[:w], i, j) for Y, widths in sides for w in widths]
+        yield i, j, direct_distances(M, i, j), posts, 0
 
 
 def _pass(A: DataMatrix, sides, sample=None):
@@ -196,14 +179,12 @@ def _pass(A: DataMatrix, sides, sample=None):
     the leading-row counts, ascending, to measure in. Yields per chunk
     one :class:`PairSet` per side and width, in that order, all sharing
     the chunk's pairs and original distances, all pairs by A's held Gram
-    matrix if any. A matrix whose largest entry lies outside
-    :func:`~pcacompress.linalg.range_scale`'s range (and so holds none)
-    is measured scaled by an exact power of two, sides alike, and its
-    distances scaled back.
+    matrix if any. A matrix whose squares would leave float64 (and so
+    holds none) is measured as :func:`~pcacompress.linalg.range_scaled`
+    scales it, sides alike, and its distances scaled back.
     """
-    M, scale = A.values, range_scale(A.values)
+    M, scale = range_scaled(A.values)
     if scale != 1.0:
-        M = M * scale
         sides = [(Y * scale, widths) for Y, widths in sides]
     if sample is None:
         G = None if A.gram is None else A.gram[0]
@@ -348,9 +329,6 @@ class ClusterRow:
 @dataclass
 class ClusterSummary:
     rows: List[ClusterRow]
-
-    def row(self, cluster: int) -> ClusterRow:
-        return self.rows[cluster]
 
 
 def cluster_summary(table: ClusterPairTable) -> ClusterSummary:
@@ -586,10 +564,9 @@ def centering_comparison(A: DataMatrix, k: int, seed: int = 0) -> CenteringRepor
     """
     unc = fit_uncentered_pca(A, k, seed)
     cen = fit_centered_pca(A, k, seed)
-    mean = A.row_means()
     # the cosine does not change under scaling, and ‖mean‖ would leave
     # float64 at either end of its range
-    mean *= range_scale(mean)
+    mean, _ = range_scaled(A.row_means())
     norm = np.linalg.norm(mean)
     cosine = None if norm == 0 else float(abs(product(unc.components[:1], mean)[0]) / norm)
     if A.labels is None:

@@ -195,19 +195,6 @@ class RandomVectorModel:
         """The d x n matrix with every column replaced by its center."""
         return self.centers.T[:, self.labels()]
 
-    def to_dict(self) -> dict:
-        return {
-            "centers": self.centers.tolist(),
-            "sizes": list(self.sizes),
-            "noise": [
-                {
-                    "family": spec.family,
-                    "scale": None if spec.scale is None else np.asarray(spec.scale).tolist(),
-                }
-                for spec in self.noise
-            ],
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomVectorModel":
         if not isinstance(doc, dict):

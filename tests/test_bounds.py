@@ -590,7 +590,7 @@ class TestVerifyBounds:
     def test_report_serializes_to_json(self):
         model = sbm_rectangular(80, [20, 20], p=0.8, q=0.2)
         report = verify_bounds(model, seeds=[5])
-        text = json.dumps(report.to_dict())
+        text = json.dumps(dataclasses.asdict(report))
         parsed = json.loads(text)
         assert parsed["trials"] == 1
         assert len(parsed["records"]) == len(report.records)
@@ -645,7 +645,7 @@ class TestOneGramPerSeed:
         model = sbm_rectangular(**self.MODEL)
         report = verify_bounds(model, seeds=[3, 4], kprime=4)
         assert calls == {"gram": 2, "lanczos": 0}
-        doc = json.loads(json.dumps(report.to_dict()))
+        doc = json.loads(json.dumps(dataclasses.asdict(report)))
         assert doc["fit_drivers"] == ["gram", "gram"]
         assert all(0.0 <= r <= linalg.RESIDUAL_RTOL for r in doc["fit_residuals"])
         assert doc["noise_norm_sources"] == ["gram", "gram"]

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, manifests, file layouts, round trips."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -815,7 +816,7 @@ class TestOtherCommands:
             docs[seed] = [json.loads((out / name).read_text()) for name in ("bounds.json", "c0.json")]
         assert docs["0"] != docs["5"]
         bounds_doc, c0_doc = docs["5"]
-        assert bounds_doc == json.loads(json.dumps(verify_bounds(model, seeds=[5, 6]).to_dict()))
+        assert bounds_doc == json.loads(json.dumps(dataclasses.asdict(verify_bounds(model, seeds=[5, 6]))))
         assert c0_doc["ratios"] == calibrate_c0(model, seeds=[5, 6]).ratios.tolist()
         rows = (tmp_path / "5" / "c0.tsv").read_text().splitlines()
         assert [row.split("\t")[0] for row in rows] == ["seed", "5", "6", "c0"]

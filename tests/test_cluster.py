@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -451,7 +452,7 @@ class TestPipelineCompare:
         for results in report.arms.values():
             assert [r.seed for r in results] == [4, 9]
             assert all(isinstance(r, ArmResult) for r in results)
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps({**dataclasses.asdict(report), "medians": report.medians()}))
         assert payload["medians"]["kmeans-pca"]["ari"] >= 0.0
         assert payload["kprime"] == 2
 

@@ -56,6 +56,8 @@ def replaced(index, *new):
 # (name, file content, line the error names, fragment of its message)
 MALFORMED_MATRIX_MARKET = [
     ("wrong-header", replaced(0, "%%MatrixMarket matrix array real general"), 1, "expected header"),
+    ("pattern-header", replaced(0, "%%MatrixMarket matrix coordinate pattern general"), 1,
+     "expected header"),
     ("missing-size-line", mm_bytes(MM_LINES[:2]), 2, "missing size line"),
     ("two-field-size-line", replaced(2, "3 4"), 3, "size line needs three integers"),
     ("non-integer-size-line", replaced(2, "3 4 five"), 3, "bad size line"),
@@ -132,6 +134,17 @@ class TestMatrixMarket:
         A, _ = load_matrix(IngestSpec(path))
         assert A.values.shape == (3, 4)
         assert A.values.nnz == 5
+
+    def test_integer_field_reads_as_real(self, tmp_path):
+        # Cell Ranger writes counts as matrix.mtx.gz under the integer field
+        entries = ["3 4 5", "1 1 2", "3 1 17", "2 2 1", "1 3 300", "3 4 9007199254740993"]
+        real = write_text(tmp_path / "real.mtx", [MM_LINES[0], *entries])
+        integer = tmp_path / "matrix.mtx.gz"
+        integer.write_bytes(gzip.compress(mm_bytes([MM_LINES[0].replace("real", "integer"), *entries])))
+        want, got = (load_matrix(IngestSpec(path))[0].values for path in (real, integer))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.toarray(), want.toarray())
+        assert got.nnz == want.nnz == 5
 
     def test_wrong_header_is_rejected_at_line_one(self, tmp_path):
         lines = ["%%MatrixMarket matrix array real general"] + MM_LINES[2:]
@@ -504,7 +517,7 @@ class TestRoundTrip:
 
     def test_label_names_round_trip(self, tmp_path):
         path = tmp_path / "l.txt"
-        write_labels([0, 1, 1, 0], path, names=["left", "right"])
+        path.write_text("left\nright\nright\nleft\n")
         ids, names = load_labels(path)
         np.testing.assert_array_equal(ids, [0, 1, 1, 0])
         assert names == ["left", "right"]

@@ -119,6 +119,99 @@ def test_storage_reads_are_caught():
         assert not list(_storage_reads(ast.parse(source))), source
 
 
+def _range_scale_calls(tree):
+    """Calls of range_scale, under its public or its private name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _ast_name(node.func) in ("range_scale", "_range_scale"):
+            yield node
+
+
+def _private_imports(tree):
+    """``(node, name)`` for each underscore name imported from a package module (dunders aside)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "pcacompress"):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield node, alias.name
+
+
+def test_scaling_and_private_names_stay_in_their_module():
+    """Only linalg calls range_scale (the others scale through range_scaled), and no module
+    imports a private name from another."""
+    calls, imports = [], []
+    for path in sorted(Path(la.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [f"{path.name}:{node.lineno}" for node in _range_scale_calls(tree)]
+        imports += [f"{path.name}:{node.lineno} {name}" for node, name in _private_imports(tree)]
+    assert calls and all(c.startswith("linalg.py:") for c in calls), calls
+    assert imports == []
+
+
+def test_private_imports_are_caught():
+    """The scans above find a private sibling import and a range_scale call, and pass public ones."""
+    flagged = [
+        "from .linalg import _BLOCK_ENTRIES",
+        "from .linalg import DataMatrix, _fit as fit",
+        "from pcacompress.linalg import _row_means",
+        "def f():\n    from .metrics import _pass",
+    ]
+    for source in flagged:
+        assert list(_private_imports(ast.parse(source))), source
+    passed = [
+        "from .linalg import DENSIFY_BUDGET, range_scaled",
+        "from . import __version__",
+        "from numpy.linalg import _umath_linalg",
+        "import pcacompress.linalg",
+    ]
+    for source in passed:
+        assert not list(_private_imports(ast.parse(source))), source
+    for source in ("range_scale(M)", "la._range_scale(M)"):
+        assert list(_range_scale_calls(ast.parse(source))), source
+    assert not list(_range_scale_calls(ast.parse("range_scaled(M)")))
+
+
+class TestStorageReads:
+    """Reads every storage kind gives alike: direct differences and the one mean column."""
+
+    @staticmethod
+    def matrix(kind):
+        rng = np.random.default_rng(5)
+        if kind == "bits":
+            return rng.random((300, 80)) < 0.3
+        values = rng.standard_normal((300, 80)) * (rng.random((300, 80)) < 0.4)
+        return sp.csc_array(values) if kind == "csc" else values
+
+    @pytest.mark.parametrize("kind", ["dense", "csc", "bits"])
+    def test_direct_distances_match_one_shot_norms(self, kind, monkeypatch):
+        # a block then holds 2000 // 300 = 6 pairs of dense or bits columns,
+        # and about 2000 // 240 = 8 of CSC ones (two columns, 40 % stored),
+        # so the 3160 pairs span hundreds of blocks
+        monkeypatch.setattr(la, "_BLOCK_ENTRIES", 2000)
+        M = self.matrix(kind)
+        dense = la.as_dense(M)
+        i, j = np.triu_indices(M.shape[1], 1)
+        want = np.linalg.norm(dense[:, i] - dense[:, j], axis=0)
+        np.testing.assert_allclose(la.direct_distances(M, i, j), want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("kind", ["dense", "csc", "bits"])
+    def test_centerings_read_the_row_means(self, kind, monkeypatch):
+        """centered_gram's mean, and the one gram_rows centers its tiles by, are row_means()."""
+        A = la.DataMatrix(self.matrix(kind))
+        want = A.row_means()
+        means, blocks = [], la._centered_row_blocks
+
+        def recording(R, mean, *args):
+            means.append(mean)
+            return blocks(R, mean, *args)
+
+        monkeypatch.setattr(la, "_centered_row_blocks", recording)
+        means.append(la.centered_gram(A.values)[1])
+        la.gram_rows(A.values, None, 64)[1](0, 10)
+        assert len(means) == 4
+        for mean in means:
+            np.testing.assert_array_equal(mean, want)
+
+
 class TestDataMatrix:
     def test_rejects_bad_shapes(self):
         with pytest.raises(InputError):
@@ -222,7 +315,7 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(P.singular_values, s[:19], rtol=1e-10)
 
     def test_sparse_past_densify_budget_without_lanczos_room_goes_dense(self, monkeypatch):
-        monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
+        monkeypatch.setattr(la, "DENSIFY_BUDGET", 100)
         monkeypatch.setattr(la, "_GRAM_CUTOFF", 0)
         M = np.random.default_rng(4).standard_normal((30, 20))
         P = la.fit_uncentered_pca(la.DataMatrix(sp.csc_array(M)), 19)
@@ -301,7 +394,7 @@ class TestGramSvd:
     up to ``_GRAM_CUTOFF``, Lanczos past it or when the Gram fit is not certified."""
 
     def fit_oracle(self, monkeypatch, M, k, centered, driver):
-        monkeypatch.setattr(la, "_DENSIFY_BUDGET", 100)
+        monkeypatch.setattr(la, "DENSIFY_BUDGET", 100)
         fit = la.fit_centered_pca if centered else la.fit_uncentered_pca
         P = fit(la.DataMatrix(sp.csc_array(M)), k)
         assert P.driver == driver

@@ -330,7 +330,7 @@ class TestClusterSummary:
                     pre = np.linalg.norm(X[:, a] - X[:, b])
                     post = np.linalg.norm(proj @ (X[:, a] - X[:, b]))
                     (intra if lab[a] == lab[b] else inter).append((pre, post))
-            row = table.row(cluster)
+            row = table.rows[cluster]
             assert row.size == 5
             for got, raw in ((row.intra, intra), (row.inter, inter)):
                 pres = [p for p, _ in raw]
@@ -348,7 +348,7 @@ class TestClusterSummary:
 
     def test_mean_of_ratios_differs_from_ratio_of_means(self):
         A = small_labeled_matrix(seed=4, d=10, n=12, k=2)
-        row = summarize(A, fit_uncentered_pca(A, 1)).row(0)
+        row = summarize(A, fit_uncentered_pca(A, 1)).rows[0]
         assert row.intra.ratio_avg != pytest.approx(row.intra.ratio_of_averages, rel=1e-6)
 
     def test_degenerate_pairs_counted_not_averaged(self):
@@ -356,7 +356,7 @@ class TestClusterSummary:
             [[0.1, 0.1, 0.9, 0.8], [0.2, 0.2, 0.1, 0.15], [0.3, 0.3, 0.4, 0.5]]
         )
         A = DataMatrix(X, labels=np.array([0, 0, 1, 1]))
-        row = summarize(A, fit_uncentered_pca(A, 2)).row(0)
+        row = summarize(A, fit_uncentered_pca(A, 2)).rows[0]
         assert row.intra.pair_count == 1
         assert row.intra.excluded == 1
         assert row.intra.ratio_avg is None
@@ -366,8 +366,8 @@ class TestClusterSummary:
         X = np.random.default_rng(0).uniform(size=(4, 5))
         A = DataMatrix(X, labels=np.array([0, 0, 0, 0, 1]))
         table = summarize(A, fit_uncentered_pca(A, 2))
-        assert table.row(1).intra is None
-        assert table.row(1).inter.pair_count == 4
+        assert table.rows[1].intra is None
+        assert table.rows[1].inter.pair_count == 4
 
     def test_identical_clusters_indistinguishable(self):
         # two clusters sharing one center: intra-ratio samples of each
@@ -505,8 +505,8 @@ class TestCenteringComparison:
         assert set(report.ratio_deltas) == {0, 1}
         cells = report.ratio_deltas[0]
         assert "intra.ratio_avg" in cells
-        got = report.centered.row(0).intra.ratio_avg
-        base = report.uncentered.row(0).intra.ratio_avg
+        got = report.centered.rows[0].intra.ratio_avg
+        base = report.uncentered.rows[0].intra.ratio_avg
         np.testing.assert_allclose(cells["intra.ratio_avg"], (got - base) / base)
 
 

@@ -233,7 +233,15 @@ class TestSerialization:
             [mo.NoiseSpec("uniform-symmetric", 0.1), mo.NoiseSpec("truncated-gaussian", 0.2)],
         )
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model.to_dict()))
+        doc = {
+            "centers": [[0.2, 0.6], [0.5, 0.5]],
+            "sizes": [3, 4],
+            "noise": [
+                {"family": "uniform-symmetric", "scale": 0.1},
+                {"family": "truncated-gaussian", "scale": 0.2},
+            ],
+        }
+        path.write_text(json.dumps(doc))
         loaded = mo.load_model(path)
         np.testing.assert_array_equal(loaded.centers, model.centers)
         assert loaded.sizes == model.sizes
